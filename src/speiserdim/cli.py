@@ -50,6 +50,7 @@ from .elliptic import PI, eisenstein_g4, square_lattice, wp, wp_direct_sum, wp_p
 from .families import (
     MapFamily,
     PoleRangeError,
+    _linear_fit,
     enumerate_poles,
     eval_family,
     eval_family_array,
@@ -203,7 +204,10 @@ def _run_verify(cfg: ExperimentConfig, seed: int) -> tuple[str, bool]:
         v2 = eval_family(fam_h, PI * cfg.m - w)
         if v1.at_infinity or v2.at_infinity:
             continue
-        dev = max(dev, abs(v1.value - v2.value))
+        # relative, like wp-differential-equation: near a 4-fold pole |H|
+        # reaches ~4e8, and the rounding of pi*m - w alone moves H by more
+        # than an absolute 1e-9
+        dev = max(dev, abs(v1.value - v2.value) / max(1.0, abs(v1.value)))
     c.add("arcsin-branch-consistency", dev, 1e-9)
 
     sym = 0.0
@@ -390,13 +394,11 @@ def cmd_dim_lower(cfg: ExperimentConfig, out: str, threads: int, seed: int) -> i
 
 def _pole_density_exponent(moduli: np.ndarray) -> float:
     """Slope of log pole-count against log radius over the enumerated range."""
-    from scipy.stats import linregress
-
     moduli = np.sort(moduli)
     radii = np.geomspace(moduli[0] * 2.0, moduli[-1], 8)
     counts = np.searchsorted(moduli, radii, side="right")
-    fit = linregress(np.log(radii), np.log(counts))
-    return max(0.0, float(fit.slope))
+    slope, _, _ = _linear_fit(np.log(radii), np.log(counts))
+    return max(0.0, float(slope))
 
 
 def cmd_dim_upper(cfg: ExperimentConfig, out: str, threads: int, seed: int) -> int:
@@ -421,19 +423,17 @@ def cmd_dim_upper(cfg: ExperimentConfig, out: str, threads: int, seed: int) -> i
     fit_hi = min(cfg.pole_radius, float(sorted_moduli[-1]))
     fit_lo = 2.0 * float(sorted_moduli[0])
     if fit_hi > fit_lo * 1.5:
-        from scipy.stats import linregress
-
         radii = np.geomspace(fit_lo, fit_hi, 10)
         counts = np.searchsorted(sorted_moduli, radii, side="right").astype(float)
-        fit = linregress(np.log(radii), counts)
-        se = 2.0 * float(fit.stderr)
+        slope, stderr, r = _linear_fit(np.log(radii), counts)
+        se = 2.0 * float(stderr)
         rows.append(
             (
                 "pole_count_per_log_radius",
-                float(fit.slope),
-                float(fit.slope) - se,
-                float(fit.slope) + se,
-                f"r_max={fit_hi:g};r_squared={fit.rvalue ** 2:.6g}",
+                float(slope),
+                float(slope) - se,
+                float(slope) + se,
+                f"r_max={fit_hi:g};r_squared={r ** 2:.6g}",
             )
         )
     path = out or cfg.out or "dim_upper.csv"

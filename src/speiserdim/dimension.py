@@ -30,6 +30,7 @@ from .families import (
     MapFamily,
     PoleData,
     _lattice_pole_locations,
+    _linear_fit,
     enumerate_poles,
     eval_deriv_array,
     eval_family_array,
@@ -179,9 +180,8 @@ def _invert_batch(
     """Solve f(z) = v near the pole a for every v in targets (Newton)."""
     z = a + b_root * targets ** (-1.0 / q)
     for _ in range(60):
-        f, pf = eval_family_array(family, z)
-        df, pd = eval_deriv_array(family, z)
-        if pf.any() or pd.any():
+        f, df, pole = eval_deriv_array(family, z)
+        if pole.any():
             raise _BranchEscape(f"Newton iterate fell into the pole cutoff near {a!r}")
         step = (f - targets) / df
         z = z - step
@@ -265,8 +265,8 @@ def estimate_branch_contractions(
                     f"branch image escaped D(a_{M}, r0): max offset "
                     f"{np.max(np.abs(z - a_base)):.3g}"
                 )
-            dz, p1 = eval_deriv_array(family, z)
-            dw, p2 = eval_deriv_array(family, w)
+            _, dz, p1 = eval_deriv_array(family, z)
+            _, dw, p2 = eval_deriv_array(family, w)
             if p1.any() or p2.any():
                 raise _BranchEscape("derivative sampling touched a pole cutoff")
             sup = float(np.max(np.abs(dz) * np.abs(dw)))
@@ -281,13 +281,6 @@ def estimate_branch_contractions(
             f"only {len(branches)} branch(es) survived; rejections: {rejected[:4]!r}"
         )
     return IFSBranchSet(branches=tuple(branches), base_index=M, rejected=tuple(rejected))
-
-
-@dataclass(frozen=True)
-class SeriesTail:
-    total: float
-    tail_estimate: float
-    classification: str  # convergent | borderline | divergent
 
 
 def series_terms(poles: list[PoleData], t: float, multiplicity: int | None = None) -> np.ndarray:
@@ -311,30 +304,6 @@ def _increment_ratio(terms: np.ndarray) -> float:
 
 
 _RATIO_MARGIN = 0.9
-
-
-def series_sum(poles: list[PoleData], t: float, multiplicity: int | None = None) -> SeriesTail:
-    """Truncated series with a geometric tail estimate and a convergence verdict.
-
-    The verdict uses the dyadic increment ratio r: below 0.9 convergent,
-    above 1/0.9 divergent, borderline in between; the tail estimate
-    d_last * r / (1 - r) extrapolates the final dyadic increment.
-    """
-    if len(poles) < 20:
-        raise InsufficientPolesError(f"{len(poles)} poles; need at least 20")
-    u = series_terms(poles, t, multiplicity)
-    s = float(np.sum(u))
-    r = _increment_ratio(u)
-    n = u.size
-    d_last = float(np.sum(u[n // 2:]))
-    if r < _RATIO_MARGIN:
-        cls = "convergent"
-    elif r > 1.0 / _RATIO_MARGIN:
-        cls = "divergent"
-    else:
-        cls = "borderline"
-    tail = d_last * r / (1.0 - r) if r < 1.0 else math.inf
-    return SeriesTail(total=s, tail_estimate=tail, classification=cls)
 
 
 def _bisect_ratio(poles, multiplicity, level: float, t_lo: float, t_hi: float) -> float:
@@ -430,11 +399,9 @@ def box_counting(target, scales: list[int] | None = None) -> DimensionEstimate:
         blocks = padded.reshape(hp // s, s, wp // s, s).any(axis=(1, 3))
         counts.append(int(blocks.sum()))
 
-    from scipy.stats import linregress
-
-    fit = linregress(np.log(1.0 / np.asarray(scales, dtype=float)), np.log(counts))
-    slope = float(fit.slope)
-    stderr = float(fit.stderr) if math.isfinite(fit.stderr) else 0.0
+    slope, stderr, _ = _linear_fit(np.log(1.0 / np.asarray(scales, dtype=float)), np.log(counts))
+    slope = float(slope)
+    stderr = float(stderr) if math.isfinite(stderr) else 0.0
     value = _clamp_dim(slope)
     lo = min(_clamp_dim(slope - 2.0 * stderr), value)
     hi = max(_clamp_dim(slope + 2.0 * stderr), value)

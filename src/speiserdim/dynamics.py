@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from io import StringIO
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .families import MapFamily, eval_deriv, eval_family, eval_family_array
 
@@ -83,6 +82,53 @@ class GridSpec:
         return xs[None, :] + 1j * ys[:, None]
 
 
+def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """Brent-Dekker root of f on the sign-changing bracket [a, b].
+
+    Follows scipy.optimize.brentq (Brent 1973, ch. 4) step for step, so the
+    roots, and every output that depends on them, match it bitwise.
+    """
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError("root finder did not converge in 100 iterations")
+
+
 def find_attracting_fixed_point(lam: float, m: int, p: int, eta: float) -> FixedPointData:
     """Root of f(x) = x on (0, eta) by bracketing, with its multiplier.
 
@@ -113,7 +159,7 @@ def find_attracting_fixed_point(lam: float, m: int, p: int, eta: float) -> Fixed
                 f"no attracting fixed point found: f(x) - x has no sign change on ({lo:g}, {hi:g})"
             )
         a, b = bracket
-    root = float(brentq(gap, a, b, xtol=1e-15, rtol=8.9e-16))
+    root = _brentq(gap, a, b, xtol=1e-15, rtol=8.9e-16)
     deriv = eval_deriv(family, complex(root))
     if deriv.at_infinity:
         raise NoAttractingFixedPointError(f"derivative is infinite at the fixed point {root!r}")
@@ -197,22 +243,6 @@ def _iterate_block(
     return codes
 
 
-def classify_point(
-    z: complex,
-    family: MapFamily,
-    fp: FixedPointData,
-    max_iterations: int = 500,
-    tol: float = 1e-6,
-    guard_modulus: float = DEFAULT_GUARD_MODULUS,
-    guard_exit_limit: int = DEFAULT_GUARD_EXITS,
-) -> int:
-    """Code for one point: attraction step k >= 0, CODE_JULIA, or CODE_UNDETERMINED."""
-    codes = _iterate_block(
-        np.asarray([complex(z)]), family, fp, max_iterations, tol, guard_modulus, guard_exit_limit, 3
-    )
-    return int(codes[0])
-
-
 @dataclass(frozen=True)
 class RasterResult:
     """Per-pixel classification codes for a grid, plus export helpers."""
@@ -249,17 +279,6 @@ class RasterResult:
             header.write(f"# {line}\n")
         header.write(f"{n} {n}\n255\n")
         return header.getvalue().encode("ascii") + img.astype(np.uint8).tobytes()
-
-    def to_csv(self, comments: list[str] | None = None) -> str:
-        """Matrix of class codes, one raster row per line; -1 Julia, -2 Undetermined."""
-        buf = StringIO()
-        for line in comments or []:
-            buf.write(f"# {line}\n")
-        buf.write("# codes: k>=0 attraction step, -1 julia, -2 undetermined\n")
-        for row in self.codes:
-            buf.write(",".join(str(int(c)) for c in row))
-            buf.write("\n")
-        return buf.getvalue()
 
 
 def render(

@@ -176,23 +176,12 @@ def square_lattice() -> LatticeSpec:
     return LatticeSpec(e1=e1, e2=0.0, e3=-e1, g2=g2, g3=0.0, laurent=d, laurent_deriv=dd)
 
 
-def reduce_to_fundamental(z: complex) -> complex:
-    """Translate z by lattice vectors into Re, Im in [-pi/2, pi/2).
+def _reduce_array(z: np.ndarray) -> np.ndarray:
+    """Translate z by lattice vectors until |Re|, |Im| <= pi/2 + 1e-12.
 
     For arguments so large that one float subtraction cannot resolve the
-    cell, the reduction is repeated; each pass shrinks the modulus by the
-    float rounding scale until the result genuinely lies in the cell.
+    cell, the reduction is repeated, up to 8 passes.
     """
-    z = complex(z)
-    for _ in range(8):
-        zr = z - PI * (math.floor(z.real / PI + 0.5) + 1j * math.floor(z.imag / PI + 0.5))
-        if -PI / 2 <= zr.real < PI / 2 and -PI / 2 <= zr.imag < PI / 2:
-            return zr
-        z = zr
-    return zr
-
-
-def _reduce_array(z: np.ndarray) -> np.ndarray:
     z = np.array(z, dtype=complex, copy=True)
     for _ in range(8):
         re = z.real
@@ -205,35 +194,19 @@ def _reduce_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def wp(z: complex, lattice: LatticeSpec | None = None) -> complex:
-    """wp(z); infinite (as a complex with +inf real part) within POLE_CUTOFF of a pole."""
-    lat = lattice or square_lattice()
-    zr = reduce_to_fundamental(z)
-    if abs(zr) < POLE_CUTOFF:
-        return _INF
-    u = zr * zr
-    w = u * u
-    acc = 0.0j
-    for dj in lat.laurent[::-1]:
-        acc = acc * w + dj
-    return 1.0 / u + u * acc
+def _horner(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    acc = np.zeros_like(w)
+    for c in coeffs[::-1]:
+        acc = acc * w + c
+    return acc
 
 
-def wp_prime(z: complex, lattice: LatticeSpec | None = None) -> complex:
-    lat = lattice or square_lattice()
-    zr = reduce_to_fundamental(z)
-    if abs(zr) < POLE_CUTOFF:
-        return _INF
-    u = zr * zr
-    w = u * u
-    acc = 0.0j
-    for q in lat.laurent_deriv[::-1]:
-        acc = acc * w + q
-    return -2.0 / (u * zr) + zr * acc
+def _wp_array(z, lattice: LatticeSpec | None = None, derivative: bool = False):
+    """Vectorized wp, and wp' from the same cell reduction when `derivative` is set.
 
-
-def _wp_array(z: np.ndarray, lattice: LatticeSpec | None = None):
-    """Vectorized wp. Returns (values, pole_mask); values at poles are huge but finite junk."""
+    Returns (values, derivatives, pole_mask); derivatives is None unless
+    requested.  Entries under pole_mask are huge but finite junk.
+    """
     lat = lattice or square_lattice()
     zr = _reduce_array(np.asarray(z, dtype=complex))
     pole = np.abs(zr) < POLE_CUTOFF
@@ -241,21 +214,19 @@ def _wp_array(z: np.ndarray, lattice: LatticeSpec | None = None):
         zr = np.where(pole, 0.5, zr)  # placeholder argument, value discarded by mask
     u = zr * zr
     w = u * u
-    acc = np.zeros_like(zr)
-    for dj in lat.laurent[::-1]:
-        acc = acc * w + dj
-    return 1.0 / u + u * acc, pole
+    values = 1.0 / u + u * _horner(lat.laurent, w)
+    if not derivative:
+        return values, None, pole
+    return values, -2.0 / (u * zr) + zr * _horner(lat.laurent_deriv, w), pole
 
 
-def _wp_prime_array(z: np.ndarray, lattice: LatticeSpec | None = None):
-    lat = lattice or square_lattice()
-    zr = _reduce_array(np.asarray(z, dtype=complex))
-    pole = np.abs(zr) < POLE_CUTOFF
-    if pole.any():
-        zr = np.where(pole, 0.5, zr)
-    u = zr * zr
-    w = u * u
-    acc = np.zeros_like(zr)
-    for q in lat.laurent_deriv[::-1]:
-        acc = acc * w + q
-    return -2.0 / (u * zr) + zr * acc, pole
+def wp(z: complex, lattice: LatticeSpec | None = None) -> complex:
+    """wp(z); infinite (as a complex with +inf real part) within POLE_CUTOFF of a pole."""
+    values, _, pole = _wp_array([complex(z)], lattice)
+    return _INF if pole[0] else complex(values[0])
+
+
+def wp_prime(z: complex, lattice: LatticeSpec | None = None) -> complex:
+    """wp'(z); infinite within POLE_CUTOFF of a pole."""
+    _, derivs, pole = _wp_array([complex(z)], lattice, derivative=True)
+    return _INF if pole[0] else complex(derivs[0])

@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from io import StringIO
 
 import numpy as np
 
-from .elliptic import PI, square_lattice, _wp_array, _wp_prime_array
+from .elliptic import PI, square_lattice, _wp_array
 from .sphere import INFINITY, ExtendedComplex
 
 TAGS = ("G", "FMax", "H", "Hm", "FLambda")
@@ -91,6 +90,66 @@ def _finite(values: np.ndarray) -> np.ndarray:
     return np.isfinite(values.real) & np.isfinite(values.imag)
 
 
+def _normalize(z: np.ndarray):
+    """Fold z into the closed first quadrant: returns (zn, negated, conjugated).
+
+    Negation first: conjugating first could leave the negated point back in
+    the lower half-plane, splitting one symmetry orbit over two
+    representatives.
+    """
+    negated = np.signbit(z.real)
+    zn = np.where(negated, -z, z)
+    conjugated = np.signbit(zn.imag)
+    return np.where(conjugated, np.conj(zn), zn), negated, conjugated
+
+
+def _arcsin_scale(family: MapFamily) -> float:
+    return family.lam if family.tag == "FLambda" else 1.0
+
+
+def _wp_argument(family: MapFamily, zn: np.ndarray) -> np.ndarray:
+    """Point at which wp is evaluated for a normalized argument."""
+    if family.tag == "FMax":
+        return PI * zn / 2.0 + 0.5j * PI
+    if family.tag in ("Hm", "FLambda"):
+        u = _arcsin_scale(family) * zn
+        return family.m * np.arcsin(u / family.m) + 0.5j * PI
+    return zn + 0.5j * PI
+
+
+def _value_from_wp(family: MapFamily, v: np.ndarray) -> np.ndarray:
+    g = (v / square_lattice().e1) ** 2
+    if family.tag == "FMax":
+        return 1j * g
+    if family.tag == "G":
+        return g
+    return family.eta * g ** family.p
+
+
+def _derivative_from_wp(family: MapFamily, zn: np.ndarray, v: np.ndarray, vp: np.ndarray) -> np.ndarray:
+    """Chain rule through wp and wp' at a normalized argument."""
+    e1 = square_lattice().e1
+    dg = 2.0 * v * vp / (e1 * e1)
+    if family.tag == "FMax":
+        return 1j * (PI / 2.0) * dg
+    if family.tag == "G":
+        out = dg
+    else:
+        g = (v / e1) ** 2
+        out = family.eta * family.p * g ** (family.p - 1) * dg
+    if family.tag in ("Hm", "FLambda"):
+        scale = _arcsin_scale(family)
+        out = out * (scale / np.sqrt(1.0 - (scale * zn / family.m) ** 2))
+    return out
+
+
+def _unfold(family: MapFamily, out: np.ndarray, conjugated: np.ndarray, pole: np.ndarray):
+    """Undo the conjugation fold and fold overflowing entries into the pole mask."""
+    out = np.where(conjugated, -np.conj(out) if family.tag == "FMax" else np.conj(out), out)
+    bad = ~_finite(out)
+    return np.where(bad, 0.0, out), pole | bad
+
+
 def eval_family_array(family: MapFamily, z) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized evaluation.
 
@@ -99,136 +158,43 @@ def eval_family_array(family: MapFamily, z) -> tuple[np.ndarray, np.ndarray]:
     double precision are also folded into pole_mask (they only arise inside
     pole neighbourhoods).
     """
-    z = np.asarray(z, dtype=complex)
-    lat = square_lattice()
-    tag = family.tag
-
-    if tag == "FMax":
-        zn = np.where(np.signbit(z.real), -z, z)
-        conj_mask = np.signbit(zn.imag)
-        zn = np.where(conj_mask, np.conj(zn), zn)
-        v, pole = _wp_array(PI * zn / 2.0 + 0.5j * PI)
-        g = (v / lat.e1) ** 2
-        out = 1j * g
-        out = np.where(conj_mask, -np.conj(out), out)
-        bad = ~_finite(out)
-        return np.where(bad, 0.0, out), pole | bad
-
-    # negation first: conjugating first could leave the negated point back
-    # in the lower half-plane, splitting one symmetry orbit over two
-    # representatives
-    zn = np.where(np.signbit(z.real), -z, z)
-    conj_mask = np.signbit(zn.imag)
-    zn = np.where(conj_mask, np.conj(zn), zn)
-
-    if tag in ("Hm", "FLambda"):
-        scale = family.lam if tag == "FLambda" else 1.0
-        u = scale * zn
-        w = family.m * np.arcsin(u / family.m)
-    else:
-        w = zn
-
-    v, pole = _wp_array(w + 0.5j * PI)
-    g = (v / lat.e1) ** 2
-    if tag == "G":
-        out = g
-    else:
-        out = family.eta * g ** family.p
-    out = np.where(conj_mask, np.conj(out), out)
-    bad = ~_finite(out)
-    return np.where(bad, 0.0, out), pole | bad
+    zn, _, conjugated = _normalize(np.asarray(z, dtype=complex))
+    v, _, pole = _wp_array(_wp_argument(family, zn))
+    return _unfold(family, _value_from_wp(family, v), conjugated, pole)
 
 
 def eval_family(family: MapFamily, z: complex) -> ExtendedComplex:
-    values, pole = eval_family_array(family, np.asarray(complex(z)))
-    if bool(pole):
+    """f(z) as a size-1 call into eval_family_array, so its bits equal the array path's."""
+    values, pole = eval_family_array(family, [complex(z)])
+    if pole[0]:
         return INFINITY
-    return ExtendedComplex(complex(values[()]))
+    return ExtendedComplex(complex(values[0]))
 
 
-def eval_deriv_array(family: MapFamily, z) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized derivative via the chain rule through wp and wp'.
+def eval_deriv_array(family: MapFamily, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values and derivatives from one normalization and one cell reduction.
 
-    Same (values, pole_mask) contract as eval_family_array.  The symmetry
-    normalization conjugates or negates the output as required: the families
-    are even, so their derivatives are odd.
+    Returns (values, derivatives, pole_mask).  `values` equals the values of
+    eval_family_array(family, z) bitwise.  Derivatives come from the chain
+    rule through wp and wp'; the families are even, so their derivatives
+    are odd and the normalization negates them as well as conjugating.
+    pole_mask marks poles and every entry whose value or derivative
+    overflows; entries under it are meaningless placeholders.
     """
-    z = np.asarray(z, dtype=complex)
-    lat = square_lattice()
-    tag = family.tag
-
-    if tag == "FMax":
-        neg = np.signbit(z.real)
-        zn = np.where(neg, -z, z)
-        conj_mask = np.signbit(zn.imag)
-        zn = np.where(conj_mask, np.conj(zn), zn)
-        w = PI * zn / 2.0 + 0.5j * PI
-        v, p1 = _wp_array(w)
-        vp, p2 = _wp_prime_array(w)
-        dg = 2.0 * v * vp / (lat.e1 * lat.e1)
-        out = 1j * (PI / 2.0) * dg
-        out = np.where(neg, -out, out)
-        out = np.where(conj_mask, -np.conj(out), out)
-        pole = p1 | p2
-        bad = ~_finite(out)
-        return np.where(bad, 0.0, out), pole | bad
-
-    neg = np.signbit(z.real)
-    zn = np.where(neg, -z, z)
-    conj_mask = np.signbit(zn.imag)
-    zn = np.where(conj_mask, np.conj(zn), zn)
-
-    if tag in ("Hm", "FLambda"):
-        scale = family.lam if tag == "FLambda" else 1.0
-        u = scale * zn
-        w = family.m * np.arcsin(u / family.m)
-        chain = scale / np.sqrt(1.0 - (u / family.m) ** 2)
-    else:
-        w = zn
-        chain = np.asarray(1.0 + 0j)
-
-    wa = w + 0.5j * PI
-    v, p1 = _wp_array(wa)
-    vp, p2 = _wp_prime_array(wa)
-    dg = 2.0 * v * vp / (lat.e1 * lat.e1)
-    if tag == "G":
-        out = dg
-    else:
-        g = (v / lat.e1) ** 2
-        out = family.eta * family.p * g ** (family.p - 1) * dg
-    out = out * chain
-    out = np.where(neg, -out, out)
-    out = np.where(conj_mask, np.conj(out), out)
-    pole = p1 | p2
-    bad = ~_finite(out)
-    return np.where(bad, 0.0, out), pole | bad
+    zn, negated, conjugated = _normalize(np.asarray(z, dtype=complex))
+    v, vp, pole = _wp_array(_wp_argument(family, zn), derivative=True)
+    values, value_pole = _unfold(family, _value_from_wp(family, v), conjugated, pole)
+    d = _derivative_from_wp(family, zn, v, vp)
+    derivs, deriv_pole = _unfold(family, np.where(negated, -d, d), conjugated, pole)
+    return values, derivs, value_pole | deriv_pole
 
 
 def eval_deriv(family: MapFamily, z: complex) -> ExtendedComplex:
-    values, pole = eval_deriv_array(family, np.asarray(complex(z)))
-    if bool(pole):
+    """f'(z) as a size-1 call into eval_deriv_array."""
+    _, derivs, pole = eval_deriv_array(family, [complex(z)])
+    if pole[0]:
         return INFINITY
-    return ExtendedComplex(complex(values[()]))
-
-
-def eval_G(z: complex) -> ExtendedComplex:
-    return eval_family(MapFamily(tag="G"), z)
-
-
-def eval_fmax(z: complex) -> ExtendedComplex:
-    return eval_family(MapFamily(tag="FMax"), z)
-
-
-def eval_H(z: complex, p: int, eta: float) -> ExtendedComplex:
-    return eval_family(MapFamily(tag="H", p=p, eta=eta), z)
-
-
-def eval_hm(z: complex, m: int, p: int, eta: float) -> ExtendedComplex:
-    return eval_family(MapFamily(tag="Hm", m=m, p=p, eta=eta), z)
-
-
-def eval_flambda(z: complex, lam: float, m: int, p: int, eta: float) -> ExtendedComplex:
-    return eval_family(MapFamily(tag="FLambda", lam=lam, m=m, p=p, eta=eta), z)
+    return ExtendedComplex(complex(derivs[0]))
 
 
 @dataclass(frozen=True)
@@ -363,6 +329,24 @@ def nearest_pole(family: MapFamily) -> PoleData:
     return PoleData(location=a, multiplicity=q, coeff_magnitude=coeff_magnitude(family, a, q))
 
 
+def _linear_fit(x, y) -> tuple[float, float, float]:
+    """Least-squares line through (x, y): returns (slope, slope stderr, r).
+
+    Computed step for step as scipy.stats.linregress computes it, so the
+    results match it bitwise: moments from np.cov(bias=1), r clamped into
+    [-1, 1] and NaN when a spread is zero, stderr 0 for two points.
+    """
+    n = len(x)
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = math.nan if ssxym == 0 else 0.0
+    else:
+        r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    slope = ssxym / ssxm
+    stderr = 0.0 if n == 2 else np.sqrt((1 - r ** 2) * ssym / ssxm / (n - 2))
+    return slope, stderr, r
+
+
 _EXP_RADII = np.logspace(-3.4, -2.4, 9)
 _EXP_ANGLES = np.exp(1j * (0.2183 + 2.0 * PI * np.arange(8) / 8))
 
@@ -375,8 +359,6 @@ def local_exponent(family: MapFamily, z0: complex, kind: str, value: complex = 0
     "pole" fits log|f| and negates the slope.  Returns NaN when the fit is
     not credible (residual slope error above 0.02), the inconclusive marker.
     """
-    from scipy.stats import linregress
-
     if kind not in ("zero", "pole", "value"):
         raise ValueError("kind must be 'zero', 'pole' or 'value'")
     target = 0.0 if kind in ("zero", "pole") else complex(value)
@@ -391,49 +373,7 @@ def local_exponent(family: MapFamily, z0: complex, kind: str, value: complex = 0
     if (mags == 0.0).any():
         return math.nan
     y = np.log(mags).mean(axis=1)
-    fit = linregress(np.log(_EXP_RADII), y)
-    if not math.isfinite(fit.slope) or fit.stderr > 0.02:
+    slope, stderr, _ = _linear_fit(np.log(_EXP_RADII), y)
+    if not math.isfinite(slope) or stderr > 0.02:
         return math.nan
-    return -fit.slope if kind == "pole" else fit.slope
-
-
-def second_derivative_floor(
-    p: int = 1,
-    eta: float = 0.3,
-    radial_samples: int = 32,
-    angular_samples: int = 64,
-) -> tuple[float, complex]:
-    """Minimum of |H''| over the punctured disk 0 < |z| <= eta, with its argmin.
-
-    The fixed-point construction needs the second derivative of the
-    eta-scaled power family to stay away from zero on this disk.  No
-    closed-form bound on eta is known, so candidate parameters are vetted
-    by a numerical scan; by the evenness and conjugation symmetries only
-    the closed first quadrant needs sampling.  The second derivative comes
-    from a central difference of the analytic first derivative.
-    """
-    family = MapFamily(tag="H", p=p, eta=eta)
-    radii = np.linspace(eta / radial_samples, eta, radial_samples)
-    angles = np.exp(1j * np.linspace(0.0, PI / 2.0, angular_samples))
-    pts = radii[:, None] * angles[None, :]
-    h = 1e-6
-    hi, p1 = eval_deriv_array(family, pts + h)
-    lo, p2 = eval_deriv_array(family, pts - h)
-    second = np.abs(hi - lo) / (2.0 * h)
-    second[p1 | p2] = np.inf
-    flat = int(np.argmin(second))
-    return float(second.ravel()[flat]), complex(pts.ravel()[flat])
-
-
-def poles_to_csv(poles: list[PoleData], comments: list[str] | None = None) -> str:
-    """CSV text with columns re(a), im(a), multiplicity, |b| at 17 significant digits."""
-    buf = StringIO()
-    for line in comments or []:
-        buf.write(f"# {line}\n")
-    buf.write("re_a,im_a,multiplicity,coeff_magnitude\n")
-    for pd in poles:
-        buf.write(
-            "%.17g,%.17g,%d,%.17g\n"
-            % (pd.location.real, pd.location.imag, pd.multiplicity, pd.coeff_magnitude)
-        )
-    return buf.getvalue()
+    return -slope if kind == "pole" else slope

@@ -1,4 +1,4 @@
-"""Points on the extended complex plane and the chordal metric.
+"""Points on the extended complex plane.
 
 A single explicit point at infinity stands in for every overflowing or
 pole-hitting value; NaN coordinates are rejected outright so downstream
@@ -7,10 +7,6 @@ numerics never have to re-check for them.
 from __future__ import annotations
 
 import math
-
-# Modulus beyond which a value approaching a known pole is snapped to the
-# exact pole instead of being kept as a meaningless huge float.
-T_INF = 1e12
 
 
 class ExtendedComplex:
@@ -39,21 +35,10 @@ class ExtendedComplex:
         return self._infinite
 
     @property
-    def is_finite(self) -> bool:
-        return not self._infinite
-
-    @property
     def value(self) -> complex:
         if self._infinite:
             raise ValueError("the point at infinity has no finite value")
         return self._value
-
-    def reciprocal(self) -> "ExtendedComplex":
-        if self._infinite:
-            return ExtendedComplex(0j)
-        if self._value == 0:
-            return INFINITY
-        return ExtendedComplex(1.0 / self._value)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExtendedComplex):
@@ -80,35 +65,3 @@ def as_extended(x) -> ExtendedComplex:
     if isinstance(x, ExtendedComplex):
         return x
     return ExtendedComplex(complex(x))
-
-
-def chordal_distance(a, b) -> float:
-    """Chordal distance on the sphere of diameter 2.
-
-    For finite a, b this is 2|a-b| / sqrt((1+|a|^2)(1+|b|^2)); one infinite
-    argument gives 2/sqrt(1+|other|^2); two infinite arguments give 0.
-    The value always lies in [0, 2], inversion z -> 1/z is an isometry, and
-    antipodal pairs (for instance 1 and -1) realize the maximum 2.
-    """
-    a = as_extended(a)
-    b = as_extended(b)
-    if a.at_infinity and b.at_infinity:
-        return 0.0
-    if a.at_infinity or b.at_infinity:
-        w = b.value if a.at_infinity else a.value
-        return 2.0 / math.hypot(1.0, abs(w))
-    va, vb = a.value, b.value
-    ma, mb = abs(va), abs(vb)
-    if ma <= 1e150 and mb <= 1e150:
-        num = 2.0 * abs(va - vb)
-        den = math.sqrt((1.0 + ma * ma) * (1.0 + mb * mb))
-        return min(num / den, 2.0)
-    # near the top of the double range: divide through by the larger scale
-    # factor first so neither the squares nor the difference can overflow
-    if ma > mb:
-        va, vb = vb, va
-        ma, mb = mb, ma
-    ta = math.hypot(1.0, ma)
-    tb = math.hypot(1.0, mb)
-    d = 2.0 * abs(va / tb - vb / tb) / ta
-    return min(d, 2.0)

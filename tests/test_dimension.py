@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import linregress
 
 from speiserdim import (
     ContractionViolationError,
@@ -20,17 +21,19 @@ from speiserdim import (
     box_counting,
     continuity_envelope,
     default_box_scales,
+    enumerate_poles,
     estimate_branch_contractions,
     formula_lower,
     formula_upper,
     multiplier_sign_mismatch,
     qc_dilatation,
     series_exponent,
-    series_sum,
     series_terms,
     solve_bowen,
     synthetic_lattice_branches,
 )
+from speiserdim.config import ExperimentConfig
+from speiserdim.families import _linear_fit
 
 
 def make_branch_set(constants):
@@ -179,27 +182,8 @@ def test_series_terms_scale_covariantly(lam):
         np.testing.assert_allclose(moved, base * lam ** (t / 4.0), rtol=4e-15)
 
 
-def test_series_sum_classifies_both_regimes():
-    poles = pseries_poles()
-    conv = series_sum(poles, 2.0)
-    assert conv.classification == "convergent"
-    assert math.isfinite(conv.tail_estimate)
-    div = series_sum(poles, 0.5)
-    assert div.classification == "divergent"
-    assert div.tail_estimate == math.inf
-    edge = series_sum(poles, 1.0)
-    assert edge.classification == "borderline"
-
-
-def test_series_sum_tail_estimate_matches_zeta_two():
-    out = series_sum(pseries_poles(), 2.0)
-    assert abs(out.total + out.tail_estimate - math.pi ** 2 / 6.0) < 1e-5
-
-
 def test_series_guards():
     poles = pseries_poles(19)
-    with pytest.raises(InsufficientPolesError, match="at least 20"):
-        series_sum(poles, 1.0)
     with pytest.raises(InsufficientPolesError, match="at least 20"):
         series_exponent(poles)
     with pytest.raises(ValueError, match="positive"):
@@ -207,8 +191,6 @@ def test_series_guards():
 
 
 def test_series_exponent_small_for_sparse_pole_family():
-    from speiserdim import enumerate_poles
-
     fam = MapFamily(tag="Hm", m=9, p=1, eta=0.3)
     poles = enumerate_poles(fam, 1e40)
     assert len(poles) >= 100
@@ -277,6 +259,51 @@ def test_box_counting_guards():
         box_counting(ok, scales=[4, 8, 8, 16])
     with pytest.raises(ValueError, match="positive"):
         box_counting(ok, scales=[0, 2, 4, 8])
+
+
+def _criterion_08_fit_inputs():
+    seg = np.zeros((512, 512), dtype=bool)
+    seg[256, :] = True
+    cell = np.ones((3, 3), dtype=bool)
+    cell[1, 1] = False
+    carpet = np.ones((1, 1), dtype=bool)
+    for _ in range(7):
+        carpet = np.kron(carpet, cell)
+    out = []
+    for mask, scales in ((seg, None), (np.ones((512, 512), dtype=bool), None),
+                         (carpet, [3, 9, 27, 81, 243])):
+        meta = box_counting(mask, scales).metadata
+        out.append((np.log(1.0 / np.asarray(meta["scales"], dtype=float)), np.log(meta["counts"])))
+    return out
+
+
+def _dim_upper_fit_inputs():
+    """Both fits of `dim-upper` at the default config, as cmd_dim_upper builds them."""
+    cfg = ExperimentConfig()
+    moduli = np.sort([abs(p.location) for p in enumerate_poles(cfg.to_family(), cfg.series_radius)])
+    radii = np.geomspace(moduli[0] * 2.0, moduli[-1], 8)
+    density = (np.log(radii), np.log(np.searchsorted(moduli, radii, side="right")))
+    radii = np.geomspace(2.0 * moduli[0], min(cfg.pole_radius, moduli[-1]), 10)
+    per_log_radius = (np.log(radii), np.searchsorted(moduli, radii, side="right").astype(float))
+    return [density, per_log_radius]
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.float64(a), np.float64(b)
+    return a.tobytes() == b.tobytes() or (np.isnan(a) and np.isnan(b))
+
+
+def test_linear_fit_matches_scipy_linregress_bitwise():
+    cases = _criterion_08_fit_inputs() + _dim_upper_fit_inputs() + [
+        (np.array([0.0, 1.0]), np.array([2.0, 5.0])),        # n = 2: stderr 0
+        (np.array([1.0, 2.0, 4.0, 8.0]), np.full(4, 3.0)),   # constant y: r NaN
+    ]
+    for x, y in cases:
+        slope, stderr, r = _linear_fit(x, y)
+        want = linregress(x, y)
+        assert _same_bits(slope, want.slope)
+        assert _same_bits(stderr, want.stderr)
+        assert _same_bits(r, want.rvalue)
 
 
 def test_default_box_scales_cap():

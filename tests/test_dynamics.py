@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from speiserdim import (
     CODE_JULIA,
@@ -10,7 +11,6 @@ from speiserdim import (
     LinearizationDomainError,
     MapFamily,
     NoAttractingFixedPointError,
-    classify_point,
     eval_deriv,
     eval_family,
     find_attracting_fixed_point,
@@ -19,9 +19,17 @@ from speiserdim import (
     nearest_pole,
     render,
 )
+from speiserdim.dynamics import DEFAULT_GUARD_EXITS, DEFAULT_GUARD_MODULUS, _brentq, _iterate_block
 
 FAM = MapFamily(tag="FLambda", lam=1.0, m=9, p=1, eta=0.3)
 FP = find_attracting_fixed_point(1.0, 9, 1, 0.3)
+
+
+def classify_point(z, tol=1e-6):
+    """Code of one starting point, from the block iterator that render uses."""
+    codes = _iterate_block(np.asarray([complex(z)]), FAM, FP, 500, tol,
+                           DEFAULT_GUARD_MODULUS, DEFAULT_GUARD_EXITS, 3)
+    return int(codes[0])
 
 
 def test_fixed_point_location_and_residual():
@@ -62,31 +70,31 @@ def test_no_attracting_fixed_point_error():
 
 
 def test_classify_fixed_point_is_step_zero():
-    assert classify_point(complex(FP.location), FAM, FP) == 0
+    assert classify_point(complex(FP.location)) == 0
 
 
 def test_classify_real_points_attract():
     for x in (-2.3, -0.7, 0.01, 0.29, 1.7, 3.0):
-        code = classify_point(complex(x), FAM, FP)
+        code = classify_point(complex(x))
         assert code >= 0
 
 
 def test_classify_pole_is_julia():
-    assert classify_point(nearest_pole(FAM).location, FAM, FP) == CODE_JULIA
+    assert classify_point(nearest_pole(FAM).location) == CODE_JULIA
 
 
 def test_classification_symmetric_under_conjugation():
     rng = np.random.default_rng(6)
     for _ in range(30):
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        assert classify_point(z, FAM, FP) == classify_point(z.conjugate(), FAM, FP)
-        assert classify_point(z, FAM, FP) == classify_point(-z, FAM, FP)
+        assert classify_point(z) == classify_point(z.conjugate())
+        assert classify_point(z) == classify_point(-z)
 
 
 def test_attraction_step_monotone_in_tolerance():
     for z in (1.5 + 0.2j, -0.4 + 0.9j, 0.8 - 0.3j):
-        loose = classify_point(z, FAM, FP, tol=1e-3)
-        tight = classify_point(z, FAM, FP, tol=1e-9)
+        loose = classify_point(z, tol=1e-3)
+        tight = classify_point(z, tol=1e-9)
         assert loose >= 0 and tight >= 0
         assert tight >= loose
 
@@ -160,15 +168,6 @@ def test_pgm_bytes_structure():
     )
 
 
-def test_codes_csv_round_trip():
-    grid = GridSpec(center=0j, half_width=2.0, resolution=8, max_iterations=30)
-    result = render(grid, FAM, FP)
-    text = result.to_csv(comments=["beta = 2"])
-    rows = [line for line in text.splitlines() if not line.startswith("#")]
-    parsed = np.array([[int(c) for c in row.split(",")] for row in rows], dtype=np.int32)
-    assert np.array_equal(parsed, result.codes)
-
-
 def test_koenigs_linearization():
     assert abs(koenigs_value(FAM, FP, complex(FP.location))) < 1e-12
     assert koenigs_check(FAM, FP, FP.location + 1e-4) < 1e-8
@@ -180,3 +179,30 @@ def test_koenigs_linearization():
 def test_koenigs_rejects_orbits_that_leave_the_domain():
     with pytest.raises(LinearizationDomainError):
         koenigs_value(FAM, FP, nearest_pole(FAM).location)
+
+
+# the lambdas of the default sweep, of verify's multiplier scan and of
+# acceptance criteria 06 and 09
+SWEEP_LAMBDAS = sorted({float(x) for x in np.concatenate([
+    np.linspace(0.75, 1.0, 8), np.linspace(0.1, 1.0, 10), [0.55], np.linspace(0.74, 1.0, 11),
+])})
+
+
+@pytest.mark.parametrize("lam", SWEEP_LAMBDAS)
+def test_root_finder_matches_scipy_brentq_bitwise(lam):
+    family = MapFamily(tag="FLambda", lam=lam, m=9, p=1, eta=0.3)
+
+    def gap(x):
+        return eval_family(family, complex(x)).value.real - x
+
+    a, b = 1e-12, 0.3 * (1.0 - 1e-12)
+    want = brentq(gap, a, b, xtol=1e-15, rtol=8.9e-16)
+    assert _brentq(gap, a, b, xtol=1e-15, rtol=8.9e-16) == want
+    assert find_attracting_fixed_point(lam, 9, 1, 0.3).location == want
+
+
+def test_root_finder_endpoints_and_bad_bracket():
+    assert _brentq(lambda x: x - 1.0, 1.0, 2.0, 1e-12, 1e-15) == 1.0
+    assert _brentq(lambda x: x - 2.0, 1.0, 2.0, 1e-12, 1e-15) == 2.0
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-15)

@@ -2,20 +2,23 @@
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speiserdim import (
     PI,
     POLE_CUTOFF,
     eisenstein_g4,
-    reduce_to_fundamental,
     square_lattice,
     wp,
     wp_direct_sum,
     wp_prime,
 )
+from speiserdim.elliptic import _wp_array
 
 
 def brute_weight4_sum(k):
@@ -29,12 +32,13 @@ def brute_weight4_sum(k):
 
 
 def random_cell_points(count, seed, margin=0.15):
-    """Points of the fundamental cell at least `margin` away from every pole."""
+    """Points of the fundamental cell at least `margin` away from every pole
+    (the nearest lattice point of a cell point is the origin)."""
     rng = np.random.default_rng(seed)
     pts = []
     while len(pts) < count:
         z = complex(rng.uniform(-PI / 2, PI / 2), rng.uniform(-PI / 2, PI / 2))
-        if abs(reduce_to_fundamental(z)) > margin:
+        if abs(z) > margin:
             pts.append(z)
     return pts
 
@@ -109,20 +113,24 @@ def test_periodicity():
 
 
 def test_reduction_small_case():
-    got = reduce_to_fundamental(10 + 7j)
+    # 10 + 7j reduces by 3*pi + 2i*pi into the cell, exactly as written here
     want = (10 - 3 * PI) + 1j * (7 - 2 * PI)
-    assert got == pytest.approx(want, abs=1e-12)
-    assert -PI / 2 <= got.real < PI / 2 and -PI / 2 <= got.imag < PI / 2
+    assert -PI / 2 <= want.real < PI / 2 and -PI / 2 <= want.imag < PI / 2
+    assert wp(10 + 7j) == wp(want)
+    assert wp_prime(10 + 7j) == wp_prime(want)
 
 
 def test_reduction_survives_huge_arguments():
     # single-pass reduction loses the cell entirely out here; the looped
-    # version must still land inside and keep wp finite
+    # version must still land near the cell and keep wp finite
     for z in (1e9 + 0.3 - 1j * (1e9 - 0.4), -3.2e12 + 1j * 7.7e11, 1e15 + 1j):
-        zr = reduce_to_fundamental(z)
-        assert -PI / 2 <= zr.real < PI / 2
-        assert -PI / 2 <= zr.imag < PI / 2
-        assert np.isfinite(wp(z).real)
+        assert np.isfinite(wp(z).real) and np.isfinite(wp(z).imag)
+    # at 1e9 the reduction's own rounding (~1e-7) still leaves periodicity
+    # visible against an exact rational reduction
+    z = 1e9 + 0.3 - 1j * (1e9 - 0.4)
+    k, l = round(z.real / PI), round(z.imag / PI)
+    exact = complex(float(Fraction(z.real) - k * Fraction(PI)), float(Fraction(z.imag) - l * Fraction(PI)))
+    assert wp(z) == pytest.approx(wp(exact), rel=1e-5)
 
 
 def test_pole_handling():
@@ -144,3 +152,17 @@ def test_direct_sum_radius_grows_with_tightness():
 
     assert direct_sum_radius(1.0, 1e-12) > direct_sum_radius(1.0, 1e-6)
     assert direct_sum_radius(10.0, 1e-9) > direct_sum_radius(1.0, 1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.complex_numbers(max_magnitude=50.0, allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=20))
+def test_scalar_matches_array_path(zs):
+    # wp and wp' are size-1 calls into the array kernel; a batch must give
+    # the same bits element by element, poles included
+    values, derivs, pole = _wp_array(np.asarray(zs), derivative=True)
+    for z, v, d, p in zip(zs, values, derivs, pole):
+        if p:
+            assert wp(z).real == math.inf and wp_prime(z).real == math.inf
+        else:
+            assert wp(z) == v and wp_prime(z) == d

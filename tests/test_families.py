@@ -4,46 +4,46 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import linregress
 
 from speiserdim import (
     PI,
     MapFamily,
-    PoleData,
     PoleRangeError,
     coeff_magnitude,
     enumerate_poles,
-    eval_G,
-    eval_H,
     eval_deriv,
+    eval_deriv_array,
     eval_family,
     eval_family_array,
-    eval_flambda,
-    eval_fmax,
-    eval_hm,
     local_exponent,
     nearest_pole,
-    poles_to_csv,
-    second_derivative_floor,
     square_lattice,
 )
+from speiserdim.families import TAGS
 
 E1 = square_lattice().e1
 
 
 def test_forced_values():
-    assert abs(eval_G(PI / 2).value) < 1e-9
-    assert abs(eval_G(0j).value - 1.0) < 1e-9
-    assert eval_G(1j * PI / 2).at_infinity
-    assert abs(eval_fmax(0j).value - 1j) < 1e-9
-    assert abs(eval_fmax(1 + 0j).value) < 1e-9
-    assert eval_fmax(1j).at_infinity
+    g = MapFamily(tag="G")
+    fmax = MapFamily(tag="FMax")
+    hm = MapFamily(tag="Hm", m=9, p=1, eta=0.3)
+    assert abs(eval_family(g, PI / 2).value) < 1e-9
+    assert abs(eval_family(g, 0j).value - 1.0) < 1e-9
+    assert eval_family(g, 1j * PI / 2).at_infinity
+    assert abs(eval_family(fmax, 0j).value - 1j) < 1e-9
+    assert abs(eval_family(fmax, 1 + 0j).value) < 1e-9
+    assert eval_family(fmax, 1j).at_infinity
     for eta in (0.3, 0.01):
-        assert abs(eval_H(0j, 1, eta).value - eta) < 1e-12
-    assert abs(eval_hm(0j, 9, 1, 0.3).value - 0.3) < 1e-12
-    assert abs(eval_hm(9 + 0j, 9, 1, 0.3).value) < 1e-9
-    assert abs(eval_hm(-9 + 0j, 9, 1, 0.3).value) < 1e-9
-    assert abs(eval_flambda(0j, 0.5, 9, 1, 0.3).value - 0.3) < 1e-12
+        assert abs(eval_family(MapFamily(tag="H", p=1, eta=eta), 0j).value - eta) < 1e-12
+    assert abs(eval_family(hm, 0j).value - 0.3) < 1e-12
+    assert abs(eval_family(hm, 9 + 0j).value) < 1e-9
+    assert abs(eval_family(hm, -9 + 0j).value) < 1e-9
+    flambda = MapFamily(tag="FLambda", lam=0.5, m=9, p=1, eta=0.3)
+    assert abs(eval_family(flambda, 0j).value - 0.3) < 1e-12
 
 
 def test_real_axis_stays_in_unit_interval():
@@ -70,41 +70,17 @@ def test_power_family_strictly_decreasing():
     assert np.all(np.diff(vals.real) < 0.0)
 
 
-@pytest.mark.parametrize("tag", ["G", "H", "Hm", "FLambda", "FMax"])
-def test_symmetries_are_bitwise_exact(tag):
-    fam = MapFamily(tag=tag, lam=0.85 if tag == "FLambda" else 1.0)
-    rng = np.random.default_rng(42)
-    for _ in range(60):
-        z = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
-        v = eval_family(fam, z)
-        vc = eval_family(fam, z.conjugate())
-        vn = eval_family(fam, -z)
-        d = eval_deriv(fam, z)
-        dc = eval_deriv(fam, z.conjugate())
-        dn = eval_deriv(fam, -z)
-        assert vn == v  # even map
-        assert dn.at_infinity == d.at_infinity
-        if v.at_infinity:
-            assert vc.at_infinity
-            continue
-        want = -v.value.conjugate() if tag == "FMax" else v.value.conjugate()
-        assert vc.value == want
-        if not d.at_infinity:
-            assert dn.value == -d.value  # odd derivative
-            dwant = -d.value.conjugate() if tag == "FMax" else d.value.conjugate()
-            assert dc.value == dwant
-
-
 def test_arcsin_branch_consistency():
     # the two preimage branches w and pi*m - w must give the same value,
     # otherwise the composition would depend on the arcsin branch cut
     m = 9
+    h = MapFamily(tag="H", p=1, eta=0.3)
     rng = np.random.default_rng(1)
     for _ in range(40):
         z = complex(rng.uniform(-3, 3), rng.uniform(0.2, 3))
         w = m * complex(np.arcsin(np.asarray(z / m))[()])
-        a = eval_H(w, 1, 0.3)
-        b = eval_H(PI * m - w, 1, 0.3)
+        a = eval_family(h, w)
+        b = eval_family(h, PI * m - w)
         if a.at_infinity or b.at_infinity:
             continue
         assert a.value == pytest.approx(b.value, abs=1e-9)
@@ -217,14 +193,6 @@ def test_branch_cut_evaluated_as_upper_limit():
     assert on_cut.value == pytest.approx(above.value, rel=1e-6)
 
 
-def test_second_derivative_floor_reports_positive_minimum():
-    floor, where = second_derivative_floor(p=1, eta=0.3)
-    assert floor > 0.1
-    assert 0.0 < abs(where) <= 0.3 + 1e-12
-    floor2, _ = second_derivative_floor(p=2, eta=0.3)
-    assert 0.0 < floor2 < floor
-
-
 def test_family_parameter_validation():
     with pytest.raises(ValueError, match="odd"):
         MapFamily(tag="Hm", m=8)
@@ -240,21 +208,64 @@ def test_family_parameter_validation():
         MapFamily(tag="H", p=0)
 
 
-def test_poles_to_csv_format():
-    poles = [PoleData(1.25 + 2.5j, 4, 0.875), PoleData(-1.25 - 2.5j, 4, 0.875)]
-    text = poles_to_csv(poles, comments=["alpha = 1"])
-    lines = text.strip().splitlines()
-    assert lines[0] == "# alpha = 1"
-    assert lines[1] == "re_a,im_a,multiplicity,coeff_magnitude"
-    assert len(lines) == 4
-    re_a, im_a, mult, mag = lines[2].split(",")
-    assert float(re_a) == 1.25 and float(im_a) == 2.5
-    assert int(mult) == 4 and float(mag) == 0.875
-    assert poles_to_csv(poles, comments=["alpha = 1"]) == text
-
-
 def test_array_evaluation_preserves_shape():
     z = np.zeros((3, 5), dtype=complex) + 0.3 + 0.2j
     vals, mask = eval_family_array(MapFamily(tag="G"), z)
     assert vals.shape == (3, 5) and mask.shape == (3, 5)
     assert mask.dtype == bool
+
+
+# ---------------------------------------------------------------------------
+# Properties of the one evaluation path
+
+FAMILIES = [MapFamily(tag=tag, lam=0.85 if tag == "FLambda" else 1.0) for tag in TAGS]
+points = st.lists(
+    st.complex_numbers(max_magnitude=30.0, allow_nan=False, allow_infinity=False),
+    min_size=1, max_size=16,
+)
+
+
+def _same(a, b) -> bool:
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(points)
+@pytest.mark.parametrize("family", FAMILIES, ids=TAGS)
+def test_deriv_pass_values_equal_value_pass(family, zs):
+    z = np.asarray(zs)
+    values, pole = eval_family_array(family, z)
+    values2, derivs, pole2 = eval_deriv_array(family, z)
+    assert _same(values, values2)
+    assert not (pole & ~pole2).any()  # the joint mask also covers derivative overflow
+    assert values2.shape == derivs.shape == pole2.shape == z.shape
+
+
+@settings(max_examples=100, deadline=None)
+@given(points)
+@pytest.mark.parametrize("family", FAMILIES, ids=TAGS)
+def test_scalar_evaluation_equals_array_path(family, zs):
+    values, derivs, pole = eval_deriv_array(family, np.asarray(zs))
+    for z, v, d, p in zip(zs, values, derivs, pole):
+        f, df = eval_family(family, z), eval_deriv(family, z)
+        assert df.at_infinity == p
+        if not p:
+            assert f.value == v and df.value == d
+
+
+@settings(max_examples=100, deadline=None)
+@given(points)
+@pytest.mark.parametrize("tag", ["G", "H", "Hm", "FLambda", "FMax"])
+def test_symmetries_are_bitwise_exact(tag, zs):
+    # even maps with odd derivatives; f(conj z) = conj f(z), for FMax -conj f(z)
+    family = MapFamily(tag=tag, lam=0.85 if tag == "FLambda" else 1.0)
+    z = np.asarray(zs)
+    values, derivs, pole = eval_deriv_array(family, z)
+    live = ~pole
+    v, d, p = eval_deriv_array(family, -z)
+    assert np.array_equal(p, pole)
+    assert _same(v[live], values[live]) and _same(d[live], -derivs[live])
+    v, d, p = eval_deriv_array(family, np.conj(z))
+    assert np.array_equal(p, pole)
+    mirror = (lambda x: -np.conj(x)) if tag == "FMax" else np.conj
+    assert _same(v[live], mirror(values[live])) and _same(d[live], mirror(derivs[live]))

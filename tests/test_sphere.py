@@ -1,78 +1,11 @@
-"""Extended complex points and the chordal metric."""
+"""Extended complex points."""
 
 import cmath
 import math
 
-import numpy as np
 import pytest
 
-from speiserdim import INFINITY, ExtendedComplex, as_extended, chordal_distance
-
-
-def embed(p):
-    """Stereographic embedding onto the radius-1 sphere in R^3.
-
-    Independent reference: the chordal distance must equal the Euclidean
-    distance between embedded points.
-    """
-    if p.at_infinity:
-        return np.array([0.0, 0.0, 1.0])
-    z = p.value
-    t = math.hypot(1.0, abs(z))  # scaled to survive |z| near the float limit
-    zx, zy, zm = z.real / t, z.imag / t, abs(z) / t
-    return np.array([2.0 * zx / t, 2.0 * zy / t, (zm - 1.0 / t) * (zm + 1.0 / t)])
-
-
-def test_chordal_matches_embedding_oracle():
-    rng = np.random.default_rng(7)
-    pts = [ExtendedComplex(complex(rng.standard_cauchy(), rng.standard_cauchy())) for _ in range(40)]
-    pts += [INFINITY, ExtendedComplex(0j), ExtendedComplex(1e155 + 1e154j)]
-    for a in pts:
-        for b in pts:
-            want = float(np.linalg.norm(embed(a) - embed(b)))
-            assert chordal_distance(a, b) == pytest.approx(want, abs=1e-12)
-
-
-def test_chordal_special_values():
-    assert chordal_distance(ExtendedComplex(0j), INFINITY) == 2.0
-    assert chordal_distance(ExtendedComplex(1 + 0j), ExtendedComplex(-1 + 0j)) == pytest.approx(2.0)
-    assert chordal_distance(INFINITY, INFINITY) == 0.0
-    z = ExtendedComplex(0.3 - 0.4j)
-    assert chordal_distance(z, z) == 0.0
-    # closed form against infinity
-    for w in (0j, 3 + 4j, -2j):
-        got = chordal_distance(ExtendedComplex(w), INFINITY)
-        assert got == pytest.approx(2.0 / math.sqrt(1.0 + abs(w) ** 2))
-
-
-def test_chordal_is_a_metric():
-    rng = np.random.default_rng(11)
-    pts = [ExtendedComplex(complex(*rng.uniform(-5, 5, 2))) for _ in range(12)] + [INFINITY]
-    for a in pts:
-        for b in pts:
-            dab = chordal_distance(a, b)
-            assert 0.0 <= dab <= 2.0
-            assert dab == chordal_distance(b, a)
-            assert (dab == 0.0) == (a == b)
-            for c in pts:
-                assert dab <= chordal_distance(a, c) + chordal_distance(c, b) + 1e-12
-
-
-def test_reciprocal_is_an_isometry():
-    # z -> 1/z is a rotation of the sphere, hence chordal-distance preserving
-    rng = np.random.default_rng(3)
-    pts = [ExtendedComplex(complex(*rng.uniform(-4, 4, 2))) for _ in range(25)]
-    pts += [ExtendedComplex(0j), INFINITY]
-    for a in pts:
-        for b in pts:
-            got = chordal_distance(a.reciprocal(), b.reciprocal())
-            assert got == pytest.approx(chordal_distance(a, b), abs=1e-12)
-
-
-def test_reciprocal_swaps_zero_and_infinity():
-    assert ExtendedComplex(0j).reciprocal() == INFINITY
-    assert INFINITY.reciprocal() == ExtendedComplex(0j)
-    assert ExtendedComplex(2j).reciprocal().value == (1 / 2j)
+from speiserdim import INFINITY, ExtendedComplex, as_extended
 
 
 def test_infinite_inputs_collapse_to_the_infinite_point():
@@ -98,7 +31,7 @@ def test_equality_and_hash():
 
 
 def test_value_access_guarded():
-    assert ExtendedComplex(3j).is_finite
-    assert not INFINITY.is_finite
+    assert not ExtendedComplex(3j).at_infinity
+    assert INFINITY.at_infinity
     with pytest.raises(ValueError):
         _ = INFINITY.value
