@@ -77,9 +77,27 @@ class GridSpec:
             raise ValueError("attraction_tol must be positive")
 
     def pixel_centers(self) -> np.ndarray:
-        xs = np.linspace(self.center.real - self.half_width, self.center.real + self.half_width, self.resolution)
-        ys = np.linspace(self.center.imag + self.half_width, self.center.imag - self.half_width, self.resolution)
+        """Pixel centres, top row first; an axis centred on 0 is built of exact negations.
+
+        On such an axis x[n-1-i] == -x[i] bitwise and the middle of an odd n
+        is +0.0, so mirrored pixels start at exactly mirrored points, which
+        `render` relies on; other axes are plain np.linspace.
+        """
+        xs = _axis(self.center.real - self.half_width, self.center.real + self.half_width,
+                   self.resolution, self.center.real == 0)
+        ys = _axis(self.center.imag + self.half_width, self.center.imag - self.half_width,
+                   self.resolution, self.center.imag == 0)
         return xs[None, :] + 1j * ys[:, None]
+
+
+def _axis(start: float, stop: float, n: int, centred: bool) -> np.ndarray:
+    a = np.linspace(start, stop, n)
+    if centred:
+        half = n // 2
+        a[n - half:] = -a[:half][::-1]
+        if n % 2:
+            a[half] = 0.0
+    return a
 
 
 def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
@@ -281,6 +299,43 @@ class RasterResult:
         return header.getvalue().encode("ascii") + img.astype(np.uint8).tobytes()
 
 
+# Representative points per _iterate_block call.  Fixed, so that codes do
+# not depend on the thread count; small, so that an orbit step stays in
+# cache (about 265 ns a point at 4096 points, 424 ns at 10^6).
+_BLOCK_POINTS = 4096
+
+def _mirrors(grid: GridSpec, family: MapFamily, fp: FixedPointData | None) -> tuple[bool, bool]:
+    """Which pixel mirrors carry a pixel's code to its mirror image: (row, column).
+
+    The row mirror is z -> conj z and needs the grid centred on the real
+    axis; the column mirror is z -> -conj z and needs it centred on the
+    imaginary axis.  There pixel_centers() makes mirrored starts exact.
+
+    The fold in families._normalize/_unfold makes f(-z) = f(z) and
+    f(conj z) = conj f(z) bitwise (-conj f(z) for FMax).  So under either
+    mirror the orbit of the mirrored start is tau(orbit) bitwise from step 1
+    on, with tau = conj for G, H, Hm and FLambda and tau = -conj for FMax.
+    The classification reads |v - fp| (fp real), |v|, the pole mask,
+    |v_k - v_j| and, in cycle mode, |v_k - z0| for the first cycle_periods
+    steps.  All are invariant under tau except:
+
+      * |-conj v - fp| != |v - fp|: FMax with a fixed point gets no mirror;
+      * |v_k - z0| needs the mirror to equal tau, since |v_k + z0| !=
+        |v_k - z0|: in cycle mode G, H, Hm and FLambda keep only the row
+        mirror and FMax only the column mirror;
+      * the step-0 test |z0 - fp| < tol is not carried by the column mirror;
+        render re-iterates the mirrored pixels where it disagrees.
+
+      family            fixed point   cycle
+      G, H, Hm, FLambda row, column   row
+      FMax              none          column
+    """
+    fmax = family.tag == "FMax"
+    row = not fmax and grid.center.imag == 0
+    col = (fp is not None) != fmax and grid.center.real == 0
+    return row, col
+
+
 def render(
     grid: GridSpec,
     family: MapFamily,
@@ -292,18 +347,21 @@ def render(
 ) -> RasterResult:
     """Classify every pixel center; deterministic for any thread count.
 
-    Pixels are independent, so the raster is split into fixed row blocks and
-    merged by index; scheduling cannot change the result.
+    Only the pixels that no mirror of `_mirrors` maps from another are
+    iterated (a quarter of a centred grid in fixed-point mode), and their
+    codes are copied to their mirror images.  Pixels are independent, so
+    the iterated ones are split into fixed blocks and merged by index;
+    scheduling cannot change the result.
     """
     pts = grid.pixel_centers()
     n = grid.resolution
-    rows_per_block = 16
-    blocks = [(r, min(r + rows_per_block, n)) for r in range(0, n, rows_per_block)]
+    row, col = _mirrors(grid, family, fp)
+    rows = (n + 1) // 2 if row else n
+    cols = (n + 1) // 2 if col else n
 
-    def work(span):
-        r0, r1 = span
+    def classify(points):
         return _iterate_block(
-            pts[r0:r1],
+            points,
             family,
             fp,
             grid.max_iterations,
@@ -311,17 +369,24 @@ def render(
             guard_modulus,
             guard_exit_limit,
             cycle_periods,
-        ).reshape(r1 - r0, n)
+        )
 
+    reps = pts[:rows, :cols].ravel()
+    blocks = [reps[i:i + _BLOCK_POINTS] for i in range(0, reps.size, _BLOCK_POINTS)]
     workers = threads if threads > 0 else (os.cpu_count() or 1)
-    codes = np.empty((n, n), dtype=np.int32)
     if workers == 1 or len(blocks) == 1:
-        for span in blocks:
-            codes[span[0]:span[1]] = work(span)
+        parts = [classify(block) for block in blocks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for span, block in zip(blocks, pool.map(work, blocks)):
-                codes[span[0]:span[1]] = block
+            parts = list(pool.map(classify, blocks))
+    codes = np.empty((n, n), dtype=np.int32)
+    codes[:rows, :cols] = np.concatenate(parts).reshape(rows, cols)
+    codes[:rows, cols:] = codes[:rows, :n - cols][:, ::-1]
+    codes[rows:] = codes[:n - rows][::-1]
+    if col and fp is not None:
+        # the one test the column mirror does not carry: step 0, |z0 - fp| < tol
+        redo = (np.abs(pts[:, cols:] - fp.location) < grid.attraction_tol) != (codes[:, cols:] == 0)
+        codes[:, cols:][redo] = classify(pts[:, cols:][redo])
     return RasterResult(grid=grid, family=family, codes=codes)
 
 

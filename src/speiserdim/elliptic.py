@@ -214,10 +214,13 @@ def _wp_array(z, lattice: LatticeSpec | None = None, derivative: bool = False):
         zr = np.where(pole, 0.5, zr)  # placeholder argument, value discarded by mask
     u = zr * zr
     w = u * u
-    values = 1.0 / u + u * _horner(lat.laurent, w)
+    # np.multiply, not `*`: from 256 KiB up numpy computes `a * temporary`
+    # in place, and its in-place complex product rounds differently, which
+    # would make every result depend on the size of the array it came in
+    values = 1.0 / u + np.multiply(u, _horner(lat.laurent, w))
     if not derivative:
         return values, None, pole
-    return values, -2.0 / (u * zr) + zr * _horner(lat.laurent_deriv, w), pole
+    return values, -2.0 / (u * zr) + np.multiply(zr, _horner(lat.laurent_deriv, w)), pole
 
 
 def wp(z: complex, lattice: LatticeSpec | None = None) -> complex:

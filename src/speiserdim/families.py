@@ -118,7 +118,8 @@ def _wp_argument(family: MapFamily, zn: np.ndarray) -> np.ndarray:
 
 
 def _value_from_wp(family: MapFamily, v: np.ndarray) -> np.ndarray:
-    g = (v / square_lattice().e1) ** 2
+    # np.square, not `** 2`: see elliptic._wp_array on numpy's in-place temporaries
+    g = np.square(v / square_lattice().e1)
     if family.tag == "FMax":
         return 1j * g
     if family.tag == "G":
@@ -129,17 +130,19 @@ def _value_from_wp(family: MapFamily, v: np.ndarray) -> np.ndarray:
 def _derivative_from_wp(family: MapFamily, zn: np.ndarray, v: np.ndarray, vp: np.ndarray) -> np.ndarray:
     """Chain rule through wp and wp' at a normalized argument."""
     e1 = square_lattice().e1
-    dg = 2.0 * v * vp / (e1 * e1)
+    # np.multiply and np.square, so that no product is computed in place
+    # (see elliptic._wp_array)
+    dg = np.multiply(2.0 * v, vp) / (e1 * e1)
     if family.tag == "FMax":
         return 1j * (PI / 2.0) * dg
     if family.tag == "G":
         out = dg
     else:
-        g = (v / e1) ** 2
-        out = family.eta * family.p * g ** (family.p - 1) * dg
+        g = np.square(v / e1)
+        out = np.multiply(family.eta * family.p * g ** (family.p - 1), dg)
     if family.tag in ("Hm", "FLambda"):
         scale = _arcsin_scale(family)
-        out = out * (scale / np.sqrt(1.0 - (scale * zn / family.m) ** 2))
+        out = np.multiply(out, scale / np.sqrt(1.0 - np.square(scale * zn / family.m)))
     return out
 
 

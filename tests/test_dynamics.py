@@ -154,6 +154,67 @@ def test_pixel_centers_layout():
     assert pts[2, 2] == pytest.approx(1 - 1j)
 
 
+@pytest.mark.parametrize("n", [5, 6, 512])
+def test_pixel_centers_mirror_exactly_on_centred_axes(n):
+    pts = GridSpec(center=0j, half_width=2.0, resolution=n).pixel_centers()
+    xs, ys = pts[0].real, pts[:, 0].imag
+    assert np.array_equal(pts.real, np.broadcast_to(xs, (n, n)))
+    assert np.array_equal(pts.imag, np.broadcast_to(ys[:, None], (n, n)))
+    for axis in (xs, ys):
+        assert np.array_equal(axis, -axis[::-1])
+        if n % 2:
+            assert axis[n // 2] == 0.0 and not np.signbit(axis[n // 2])
+    # off-centre axes are np.linspace, unchanged
+    pts = GridSpec(center=0.3 - 0.7j, half_width=2.0, resolution=n).pixel_centers()
+    assert np.array_equal(pts[0].real, np.linspace(0.3 - 2.0, 0.3 + 2.0, n))
+    assert np.array_equal(pts[:, 0].imag, np.linspace(-0.7 + 2.0, -0.7 - 2.0, n))
+
+
+def _full_grid_codes(grid, family, fp, guard, cycle_periods=3):
+    """Every pixel iterated, in one call, at the same centres as render."""
+    codes = _iterate_block(grid.pixel_centers(), family, fp, grid.max_iterations,
+                           grid.attraction_tol, guard[0], guard[1], cycle_periods)
+    return codes.reshape(grid.resolution, grid.resolution)
+
+
+HM = MapFamily(tag="Hm", m=9, p=1, eta=0.3)  # FLambda at lam = 1, so FP is its fixed point too
+SYMMETRY_FAMILIES = [MapFamily(tag="G"), MapFamily(tag="FMax"), MapFamily(tag="H", p=2), HM, FAM]
+
+
+# A coarse attraction_tol makes orbits pass the tests that a wrong mirror
+# would break (|v - fp| against |-conj v - fp|, |v_k - z0| against
+# |v_k + z0|) often enough to show on small grids.
+@pytest.mark.parametrize("tol", [1e-6, 0.5, 2.0])
+@pytest.mark.parametrize("guard", [(30.0, 2), (1e12, 3)], ids=["guard30", "guard1e12"])
+@pytest.mark.parametrize("center", [0j, 0.3 + 0j, 0.25j], ids=["centred", "real-offset", "imag-offset"])
+@pytest.mark.parametrize("n", [15, 16])
+@pytest.mark.parametrize("fixed_point", [True, False], ids=["fixed-point", "cycle"])
+@pytest.mark.parametrize("family", SYMMETRY_FAMILIES, ids=lambda f: f.tag)
+def test_symmetric_render_equals_full_grid_iteration(family, fixed_point, n, center, guard, tol):
+    grid = GridSpec(center=center, half_width=2.0, resolution=n, max_iterations=40, attraction_tol=tol)
+    fp = FP if fixed_point else None
+    raster = render(grid, family, fp, threads=2, guard_modulus=guard[0], guard_exit_limit=guard[1])
+    assert np.array_equal(raster.codes, _full_grid_codes(grid, family, fp, guard))
+
+
+@pytest.mark.parametrize("threads", [1, 2, 0])
+def test_symmetric_render_rechecks_step_zero_of_column_mirrors(threads):
+    # -fp is the column mirror of fp, and only fp is attracted at step 0
+    grid = GridSpec(center=0j, half_width=FP.location, resolution=3)
+    codes = render(grid, FAM, FP, threads=threads).codes
+    assert codes[1, 0] == 1 and codes[1, 2] == 0
+    guard = (DEFAULT_GUARD_MODULUS, DEFAULT_GUARD_EXITS)
+    assert np.array_equal(codes, _full_grid_codes(grid, FAM, FP, guard))
+
+
+@pytest.mark.parametrize("threads", [1, 2, 0])
+def test_symmetric_render_over_several_blocks(threads):
+    grid = GridSpec(center=0j, half_width=2.0, resolution=131, max_iterations=30)
+    guard = (30.0, 2)
+    raster = render(grid, FAM, FP, threads=threads, guard_modulus=guard[0], guard_exit_limit=guard[1])
+    assert np.array_equal(raster.codes, _full_grid_codes(grid, FAM, FP, guard))
+
+
 def test_pgm_bytes_structure():
     pole = nearest_pole(FAM).location
     grid = GridSpec(center=pole, half_width=0.01, resolution=3, max_iterations=50)

@@ -269,3 +269,22 @@ def test_symmetries_are_bitwise_exact(tag, zs):
     assert np.array_equal(p, pole)
     mirror = (lambda x: -np.conj(x)) if tag == "FMax" else np.conj
     assert _same(v[live], mirror(values[live])) and _same(d[live], mirror(derivs[live]))
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=TAGS)
+def test_results_do_not_depend_on_array_size(family):
+    # From 256 KiB (16,384 complex points) up numpy may compute `a * temporary`
+    # in place, with a rounding of its own; every kernel product must be
+    # written so that no point's bits depend on the size of its array.
+    rng = np.random.default_rng(65536)
+    z = rng.uniform(-3.0, 3.0, 65536) + 1j * rng.uniform(-3.0, 3.0, 65536)
+    values, pole = eval_family_array(family, z)
+    values2, derivs, pole2 = eval_deriv_array(family, z)
+    slices = [z[i:i + 4096] for i in range(0, z.size, 4096)]
+    parts = [eval_family_array(family, s) for s in slices]
+    dparts = [eval_deriv_array(family, s) for s in slices]
+    assert _same(values, np.concatenate([v for v, _ in parts]))
+    assert np.array_equal(pole, np.concatenate([p for _, p in parts]))
+    assert _same(values2, np.concatenate([v for v, _, _ in dparts]))
+    assert _same(derivs, np.concatenate([d for _, d, _ in dparts]))
+    assert np.array_equal(pole2, np.concatenate([p for _, _, p in dparts]))
