@@ -12,8 +12,6 @@ from dataclasses import dataclass, fields
 from .families import TAGS, MapFamily
 from .dynamics import GridSpec
 
-PI = math.pi
-
 
 class ConfigError(ValueError):
     """Malformed config text, unknown key, or invalid value."""
@@ -23,21 +21,21 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     # family selection
     family: str = "FLambda"
-    p: int = 1
-    eta: float = 0.3
-    m: int = 9
-    lam: float = 1.0
+    p: int = MapFamily.p
+    eta: float = MapFamily.eta
+    m: int = MapFamily.m
+    lam: float = MapFamily.lam
     # lambda grid for sweeps; below ~0.7 the pole dust leaves the default grid
     lambda_min: float = 0.75
     lambda_max: float = 1.0
     lambda_count: int = 8
     # raster grid
-    grid_center_re: float = 0.0
-    grid_center_im: float = 0.0
-    grid_half_width: float = 2.0
-    grid_resolution: int = 512
-    max_iterations: int = 500
-    attraction_tol: float = 1e-6
+    grid_center_re: float = GridSpec.center.real
+    grid_center_im: float = GridSpec.center.imag
+    grid_half_width: float = GridSpec.half_width
+    grid_resolution: int = GridSpec.resolution
+    max_iterations: int = GridSpec.max_iterations
+    attraction_tol: float = GridSpec.attraction_tol
     # a low guard marks every pass near a pole as an exit, so the exit
     # counter traps orbits that shadow the pole dust; raise it toward 1e12
     # to flag only near-exact pole hits
@@ -108,26 +106,17 @@ def _coerce(key: str, raw: str):
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.family not in TAGS:
         raise ConfigError(f"family must be one of {TAGS}, got {cfg.family!r}")
-    if cfg.p < 1:
-        raise ConfigError("p must be a positive integer")
-    if not 0.0 < cfg.eta < PI / 2:
-        raise ConfigError("eta must lie strictly inside (0, pi/2)")
-    if cfg.m < 1 or cfg.m % 2 == 0:
-        raise ConfigError("m must be an odd positive integer")
-    if not 0.0 < cfg.lam <= 1.0:
-        raise ConfigError("lam must lie in (0, 1]")
+    try:
+        # sweep and verify use p, eta and m whatever the family, so they
+        # are checked as FLambda checks them
+        MapFamily(tag="FLambda", p=cfg.p, eta=cfg.eta, m=cfg.m, lam=cfg.lam)
+        cfg.to_grid()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if not 0.0 < cfg.lambda_min <= cfg.lambda_max <= 1.0:
         raise ConfigError("lambda grid must satisfy 0 < lambda_min <= lambda_max <= 1")
     if cfg.lambda_count < 2:
         raise ConfigError("lambda_count must be at least 2")
-    if cfg.grid_resolution < 2:
-        raise ConfigError("grid_resolution must be at least 2")
-    if cfg.grid_half_width <= 0:
-        raise ConfigError("grid_half_width must be positive")
-    if cfg.max_iterations < 1:
-        raise ConfigError("max_iterations must be positive")
-    if cfg.attraction_tol <= 0:
-        raise ConfigError("attraction_tol must be positive")
     if cfg.guard_modulus <= 1.0:
         raise ConfigError("guard_modulus must exceed 1; it must sit above the attractor scale")
     if cfg.guard_exits < 1:

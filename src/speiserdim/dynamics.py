@@ -33,6 +33,12 @@ from .families import MapFamily, eval_deriv, eval_family, eval_family_array
 CODE_JULIA = -1
 CODE_UNDETERMINED = -2
 
+# The library guard exits only orbits that land next to a pole, which suits
+# maps without an attracting fixed point, such as criterion 07's FMax render.
+# The config's guard (30 and 2 exits, `ExperimentConfig.guard_*`) serves the
+# FLambda sweep instead: its maps are hyperbolic, so under this guard every
+# pixel centre is attracted and the box-counting target set is empty, while
+# at 30 any pass near a pole counts as an exit.
 DEFAULT_GUARD_MODULUS = 1e12
 DEFAULT_GUARD_EXITS = 3
 

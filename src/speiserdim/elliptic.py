@@ -9,9 +9,12 @@ Conventions fixed here and relied on everywhere else:
   * the three half-period values are e1 = wp(pi/2) > 0, e2 = wp((pi+i*pi)/2) = 0
     and e3 = wp(i*pi/2) = -e1, which forces g2 = 4*e1^2.
 
-e1 is not hard-coded: it is produced once per process by direct lattice
-summation (`wp_direct_sum`) and cross-checked against 60*G4 where G4 is the
-weight-4 lattice sum.  Production evaluation reduces the argument to the
+e1 is not hard-coded: it comes from g2 = 60*G4 = 4*e1^2, with G4 the
+weight-4 lattice sum (`eisenstein_g4`), whose rows collapse to closed forms;
+sqrt(15*G4) is the correctly rounded lemniscatic constant
+Gamma(1/4)^4 / (8 pi^3).  Direct lattice summation (`wp_direct_sum`) is kept
+as an independent oracle for `verify` and the tests, never on the
+production path.  Production evaluation reduces the argument to the
 fundamental cell and sums the Laurent expansion about the nearest lattice
 point; the expansion order is chosen so the analytic tail bound stays below
 1e-10 at the corner of the cell (the worst case |z| = pi/sqrt(2)).
@@ -28,8 +31,6 @@ from functools import lru_cache
 import numpy as np
 
 PI = math.pi
-PERIOD_REAL = PI
-PERIOD_IMAG = PI * 1j
 
 # distance to a lattice point below which wp reports a pole
 POLE_CUTOFF = 1e-8
@@ -152,28 +153,22 @@ def _laurent_order_for(tol: float) -> int:
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Cached data of the square lattice: half-period values and series tables."""
+    """Cached data of the square lattice: e1 = wp(pi/2), g2 and the series tables."""
 
     e1: float
-    e2: float
-    e3: float
     g2: float
-    g3: float
     laurent: np.ndarray        # d_j for wp
     laurent_deriv: np.ndarray  # (4j+2) d_j for wp'
 
 
 @lru_cache(maxsize=1)
 def square_lattice() -> LatticeSpec:
-    g4 = eisenstein_g4()
-    e1 = wp_direct_sum(PI / 2.0, tol=1e-12).real
+    e1 = math.sqrt(15.0 * eisenstein_g4())
     g2 = 4.0 * e1 * e1
-    if abs(g2 - 60.0 * g4) > 1e-9:
-        raise AssertionError("half-period value disagrees with the weight-4 lattice sum")
     order = _laurent_order_for(1e-13)
     d = _laurent_coefficients(g2, order)
     dd = np.array([(4 * j + 2) * dj for j, dj in enumerate(d)])
-    return LatticeSpec(e1=e1, e2=0.0, e3=-e1, g2=g2, g3=0.0, laurent=d, laurent_deriv=dd)
+    return LatticeSpec(e1=e1, g2=g2, laurent=d, laurent_deriv=dd)
 
 
 def _reduce_array(z: np.ndarray) -> np.ndarray:
@@ -201,13 +196,13 @@ def _horner(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _wp_array(z, lattice: LatticeSpec | None = None, derivative: bool = False):
+def _wp_array(z, derivative: bool = False):
     """Vectorized wp, and wp' from the same cell reduction when `derivative` is set.
 
     Returns (values, derivatives, pole_mask); derivatives is None unless
     requested.  Entries under pole_mask are huge but finite junk.
     """
-    lat = lattice or square_lattice()
+    lat = square_lattice()
     zr = _reduce_array(np.asarray(z, dtype=complex))
     pole = np.abs(zr) < POLE_CUTOFF
     if pole.any():
@@ -223,13 +218,13 @@ def _wp_array(z, lattice: LatticeSpec | None = None, derivative: bool = False):
     return values, -2.0 / (u * zr) + np.multiply(zr, _horner(lat.laurent_deriv, w)), pole
 
 
-def wp(z: complex, lattice: LatticeSpec | None = None) -> complex:
+def wp(z: complex) -> complex:
     """wp(z); infinite (as a complex with +inf real part) within POLE_CUTOFF of a pole."""
-    values, _, pole = _wp_array([complex(z)], lattice)
+    values, _, pole = _wp_array([complex(z)])
     return _INF if pole[0] else complex(values[0])
 
 
-def wp_prime(z: complex, lattice: LatticeSpec | None = None) -> complex:
+def wp_prime(z: complex) -> complex:
     """wp'(z); infinite within POLE_CUTOFF of a pole."""
-    _, derivs, pole = _wp_array([complex(z)], lattice, derivative=True)
+    _, derivs, pole = _wp_array([complex(z)], derivative=True)
     return _INF if pole[0] else complex(derivs[0])

@@ -40,28 +40,9 @@ class ExtendedComplex:
             raise ValueError("the point at infinity has no finite value")
         return self._value
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExtendedComplex):
-            try:
-                other = as_extended(other)
-            except (TypeError, ValueError):
-                return NotImplemented
-        if self._infinite or other._infinite:
-            return self._infinite and other._infinite
-        return self._value == other._value
-
-    def __hash__(self):
-        return hash(("inf",)) if self._infinite else hash(self._value)
-
     def __repr__(self) -> str:
         return "ExtendedComplex(infinity)" if self._infinite else f"ExtendedComplex({self._value!r})"
 
 
 INFINITY = ExtendedComplex(at_infinity=True)
 
-
-def as_extended(x) -> ExtendedComplex:
-    """Coerce a complex/float/ExtendedComplex into an ExtendedComplex."""
-    if isinstance(x, ExtendedComplex):
-        return x
-    return ExtendedComplex(complex(x))

@@ -7,7 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from speiserdim import ConfigError, ExperimentConfig, load_config, parse_config, serialize_config
+from speiserdim import (
+    ConfigError,
+    ExperimentConfig,
+    GridSpec,
+    MapFamily,
+    load_config,
+    parse_config,
+    serialize_config,
+)
 from speiserdim.cli import main
 from speiserdim.config import validate_config
 
@@ -66,6 +74,10 @@ def test_config_type_errors():
     ("lambda_count = 1", "at least 2"),
     ("grid_resolution = 1", "at least 2"),
     ("max_iterations = 0", "positive"),
+    ("grid_half_width = 0", "positive"),
+    ("attraction_tol = 0", "positive"),
+    ("family = G\neta = 1.6", "pi/2"),
+    ("family = G\nm = 8", "odd"),
     ("guard_modulus = 1.0", "exceed 1"),
     ("guard_exits = 0", "at least 1"),
     ("bowen_mode = guess", "measured"),
@@ -89,6 +101,17 @@ def test_config_helpers():
     assert grid.resolution == 64 and grid.half_width == 1.5
     assert parse_config("").box_scale_list() is None
     assert parse_config("box_scales = 4, 8,16\n").box_scale_list() == [4, 8, 16]
+
+
+def test_config_defaults_come_from_the_objects():
+    cfg = ExperimentConfig()
+    assert cfg.to_family() == MapFamily(tag="FLambda")
+    assert cfg.to_grid() == GridSpec()
+    text = serialize_config(cfg)
+    for line in ("p = 1", "eta = 0.3", "m = 9", "lam = 1.0", "grid_center_re = 0.0",
+                 "grid_center_im = 0.0", "grid_half_width = 2.0", "grid_resolution = 512",
+                 "max_iterations = 500", "attraction_tol = 1e-06"):
+        assert line in text.splitlines()
 
 
 def test_load_config_from_disk(tmp_path):

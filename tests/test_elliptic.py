@@ -1,8 +1,12 @@
 """Weierstrass elliptic function on the square lattice with periods pi and i*pi."""
 
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,8 +60,7 @@ def test_half_period_values():
     assert wp(PI / 2).imag == pytest.approx(0.0, abs=1e-12)
     assert wp(PI / 2).real == pytest.approx(lat.e1, abs=1e-12)
     assert abs(wp((PI + 1j * PI) / 2)) < 1e-9  # e2 = 0 on the square lattice
-    assert wp(1j * PI / 2) == pytest.approx(-lat.e1 + 0j, abs=1e-12)
-    assert lat.e1 + lat.e2 + lat.e3 == pytest.approx(0.0, abs=1e-12)
+    assert wp(1j * PI / 2) == pytest.approx(-lat.e1 + 0j, abs=1e-12)  # e3 = -e1
     # the derivative vanishes at every half period
     for h in (PI / 2, 1j * PI / 2, (PI + 1j * PI) / 2):
         assert abs(wp_prime(h)) < 1e-9
@@ -67,17 +70,40 @@ def test_invariants():
     lat = square_lattice()
     assert lat.g2 == pytest.approx(4.0 * lat.e1 ** 2, rel=1e-14)
     assert lat.g2 == pytest.approx(60.0 * eisenstein_g4(), abs=1e-9)
-    assert lat.g3 == 0.0
     assert lat.e1 == pytest.approx(0.6966019648428382, abs=1e-12)
+
+
+def test_e1_is_the_correctly_rounded_lemniscatic_constant():
+    # Gamma(1/4)^4 / (8 pi^3) = 0.69660196484283842959...; the nearest
+    # double is the one below, and the independent direct sum agrees
+    e1 = square_lattice().e1
+    assert e1 == 0.6966019648428384
+    assert abs(e1 - wp_direct_sum(PI / 2, 1e-12).real) <= 2 * math.ulp(e1)
+
+
+def test_lattice_init_does_not_sum_the_lattice():
+    # the direct sum is an oracle only: start-up must not pay for it
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    probe = (
+        "import speiserdim.elliptic as e\n"
+        "def boom(*args, **kwargs):\n"
+        "    raise RuntimeError('direct lattice sum called')\n"
+        "e.wp_direct_sum = boom\n"
+        "print(repr(e.square_lattice().e1))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "0.6966019648428384"
 
 
 def test_matches_direct_lattice_sum():
     start = time.monotonic()
     pts = random_cell_points(100, seed=20260814)
-    lat = square_lattice()
     for z in pts:
         direct = wp_direct_sum(z, tol=1e-9)
-        fast = wp(z, lat)
+        fast = wp(z)
         assert abs(fast - direct) <= 1e-8 * (1.0 + abs(direct))
     assert time.monotonic() - start < 5.0
 
@@ -85,10 +111,10 @@ def test_matches_direct_lattice_sum():
 def test_differential_equation():
     lat = square_lattice()
     for z in random_cell_points(60, seed=5):
-        p = wp(z, lat)
-        dp = wp_prime(z, lat)
+        p = wp(z)
+        dp = wp_prime(z)
         lhs = dp * dp
-        rhs = 4.0 * p ** 3 - lat.g2 * p - lat.g3
+        rhs = 4.0 * p ** 3 - lat.g2 * p  # g3 = 0 on the square lattice
         assert abs(lhs - rhs) <= 1e-7 * max(1.0, abs(lhs))
 
 
