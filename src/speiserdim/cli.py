@@ -244,7 +244,7 @@ def _run_verify(cfg: ExperimentConfig, seed: int) -> tuple[str, bool]:
     return c.report()
 
 
-def cmd_verify(cfg: ExperimentConfig, out: str, threads: int, seed: int) -> int:
+def cmd_verify(cfg: ExperimentConfig, out: str, seed: int) -> int:
     report, ok = _run_verify(cfg, seed)
     sys.stdout.write(report)
     if out:
@@ -262,14 +262,13 @@ def _fixed_point_for(cfg: ExperimentConfig, family: MapFamily):
     return None
 
 
-def cmd_render(cfg: ExperimentConfig, out: str, threads: int, seed: int) -> int:
+def cmd_render(cfg: ExperimentConfig, out: str, seed: int) -> int:
     family = cfg.to_family()
     fp = _fixed_point_for(cfg, family)
     raster = render(
         cfg.to_grid(),
         family,
         fp,
-        threads=threads,
         guard_modulus=cfg.guard_modulus,
         guard_exit_limit=cfg.guard_exits,
     )
@@ -289,7 +288,7 @@ _SWEEP_COLUMNS = (
 )
 
 
-def cmd_sweep(cfg: ExperimentConfig, out: str, threads: int, seed: int) -> int:
+def cmd_sweep(cfg: ExperimentConfig, out: str, seed: int) -> int:
     lams = np.linspace(cfg.lambda_min, cfg.lambda_max, cfg.lambda_count)
     lines = [f"# {line}" for line in config_comment_lines(cfg)]
     lines.append(_SWEEP_COLUMNS)
@@ -303,7 +302,6 @@ def cmd_sweep(cfg: ExperimentConfig, out: str, threads: int, seed: int) -> int:
                 cfg.to_grid(),
                 family,
                 fp,
-                threads=threads,
                 guard_modulus=cfg.guard_modulus,
                 guard_exit_limit=cfg.guard_exits,
             )
@@ -352,7 +350,7 @@ def _estimate_rows_csv(cfg: ExperimentConfig, rows: list[tuple[str, float, float
     return "\n".join(lines) + "\n"
 
 
-def cmd_dim_lower(cfg: ExperimentConfig, out: str, threads: int, seed: int) -> int:
+def cmd_dim_lower(cfg: ExperimentConfig, out: str, seed: int) -> int:
     family = cfg.to_family()
     q = family.pole_multiplicity
     rows: list[tuple[str, float, float, float, str]] = []
@@ -401,7 +399,7 @@ def _pole_density_exponent(moduli: np.ndarray) -> float:
     return max(0.0, float(slope))
 
 
-def cmd_dim_upper(cfg: ExperimentConfig, out: str, threads: int, seed: int) -> int:
+def cmd_dim_upper(cfg: ExperimentConfig, out: str, seed: int) -> int:
     family = cfg.to_family()
     poles = enumerate_poles(family, cfg.series_radius)
     est = series_exponent(poles, t_hi=cfg.series_t_hi)
@@ -469,7 +467,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", metavar="PATH", help="key = value config file")
         sp.add_argument("--out", metavar="PATH", help="output file path")
-        sp.add_argument("--threads", type=int, default=None, help="worker threads (0 = auto)")
+        sp.add_argument("--threads", type=int, help="has no effect; renders run on one thread")
         sp.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
     return parser
 
@@ -488,11 +486,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    threads = args.threads if args.threads is not None else cfg.threads
     seed = args.seed if args.seed is not None else cfg.seed
     out = args.out or ""
     try:
-        return _COMMANDS[args.command](cfg, out, threads, seed)
+        return _COMMANDS[args.command](cfg, out, seed)
     except _COMMAND_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,10 +6,10 @@ embedded in an output header fully describes the run that produced it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 from .families import TAGS, MapFamily
+from .dimension import check_branch_radii
 from .dynamics import GridSpec
 
 
@@ -55,7 +55,8 @@ class ExperimentConfig:
     series_t_hi: float = 4.0
     # box counting ("" = derive dyadic scales from the resolution)
     box_scales: str = ""
-    # run plumbing
+    # run plumbing; threads is accepted from existing config files and has
+    # no effect, since renders run on one thread
     seed: int = 0
     threads: int = 0
     out: str = ""
@@ -111,6 +112,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         # are checked as FLambda checks them
         MapFamily(tag="FLambda", p=cfg.p, eta=cfg.eta, m=cfg.m, lam=cfg.lam)
         cfg.to_grid()
+        check_branch_radii(cfg.branch_r0, cfg.branch_r1)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if not 0.0 < cfg.lambda_min <= cfg.lambda_max <= 1.0:
@@ -130,10 +132,6 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("branch_count must be at least 2")
     if cfg.branch_base_index < 0:
         raise ConfigError("branch_base_index must be 0 (auto) or positive")
-    if cfg.branch_r0 <= 0 or cfg.branch_r1 <= 0:
-        raise ConfigError("branch radii must be positive")
-    if cfg.branch_r0 > (2.0 - math.sqrt(3.0)) * cfg.branch_r1 + 1e-12:
-        raise ConfigError("branch_r0 must not exceed (2 - sqrt(3)) * branch_r1")
     if cfg.branch_samples < 8:
         raise ConfigError("branch_samples must be at least 8")
     if cfg.pole_radius <= 0 or cfg.series_radius <= 0:
@@ -147,7 +145,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.seed < 0:
         raise ConfigError("seed must be nonnegative")
     if cfg.threads < 0:
-        raise ConfigError("threads must be nonnegative (0 = auto)")
+        raise ConfigError("threads must be nonnegative")
     return cfg
 
 

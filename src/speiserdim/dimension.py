@@ -211,6 +211,14 @@ def _poles_up_to_count(family: MapFamily, count: int) -> list[PoleData]:
     return poles
 
 
+def check_branch_radii(r0: float, r1: float) -> None:
+    """Raise ValueError unless 0 < r0 <= (2 - sqrt(3)) * r1 (up to 1e-12)."""
+    if r0 <= 0 or r1 <= 0:
+        raise ValueError("branch radii r0 and r1 must be positive")
+    if r0 > (2.0 - math.sqrt(3.0)) * r1 + 1e-12:
+        raise ValueError("branch radius r0 must not exceed (2 - sqrt(3)) * r1")
+
+
 def estimate_branch_contractions(
     family: MapFamily,
     M: int | None,
@@ -228,10 +236,7 @@ def estimate_branch_contractions(
     rejected with a diagnostic instead of poisoning the set.  Each accepted
     branch gets b_k = 1 / (1.02 * sup |(f^2)'|) over the sampled boundary.
     """
-    if r0 <= 0 or r1 <= 0:
-        raise ValueError("r0 and r1 must be positive")
-    if r0 > (2.0 - math.sqrt(3.0)) * r1 + 1e-12:
-        raise ValueError("r0 must not exceed (2 - sqrt(3)) * r1")
+    check_branch_radii(r0, r1)
     if N < 2:
         raise ValueError("N must be at least 2")
     poles = _poles_up_to_count(family, N)

@@ -21,8 +21,6 @@ consecutive steps.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from io import StringIO
 
@@ -305,9 +303,10 @@ class RasterResult:
         return header.getvalue().encode("ascii") + img.astype(np.uint8).tobytes()
 
 
-# Representative points per _iterate_block call.  Fixed, so that codes do
-# not depend on the thread count; small, so that an orbit step stays in
-# cache (about 265 ns a point at 4096 points, 424 ns at 10^6).
+# Representative points per _iterate_block call, small so that an orbit
+# step stays in cache (about 265 ns a point at 4096 points, 424 ns at 10^6).
+# The kernel rounds alike at every array size, so the codes do not depend
+# on it.
 _BLOCK_POINTS = 4096
 
 def _mirrors(grid: GridSpec, family: MapFamily, fp: FixedPointData | None) -> tuple[bool, bool]:
@@ -351,13 +350,13 @@ def render(
     guard_exit_limit: int = DEFAULT_GUARD_EXITS,
     cycle_periods: int = 3,
 ) -> RasterResult:
-    """Classify every pixel center; deterministic for any thread count.
+    """Classify every pixel center, on the calling thread.
 
     Only the pixels that no mirror of `_mirrors` maps from another are
-    iterated (a quarter of a centred grid in fixed-point mode), and their
-    codes are copied to their mirror images.  Pixels are independent, so
-    the iterated ones are split into fixed blocks and merged by index;
-    scheduling cannot change the result.
+    iterated (a quarter of a centred grid in fixed-point mode), in blocks
+    of `_BLOCK_POINTS`, and their codes are copied to their mirror images.
+    `threads` is accepted so that existing callers keep working; it has no
+    effect.
     """
     pts = grid.pixel_centers()
     n = grid.resolution
@@ -378,13 +377,7 @@ def render(
         )
 
     reps = pts[:rows, :cols].ravel()
-    blocks = [reps[i:i + _BLOCK_POINTS] for i in range(0, reps.size, _BLOCK_POINTS)]
-    workers = threads if threads > 0 else (os.cpu_count() or 1)
-    if workers == 1 or len(blocks) == 1:
-        parts = [classify(block) for block in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(classify, blocks))
+    parts = [classify(reps[i:i + _BLOCK_POINTS]) for i in range(0, reps.size, _BLOCK_POINTS)]
     codes = np.empty((n, n), dtype=np.int32)
     codes[:rows, :cols] = np.concatenate(parts).reshape(rows, cols)
     codes[:rows, cols:] = codes[:rows, :n - cols][:, ::-1]

@@ -40,6 +40,9 @@ _CELL_RADIUS = PI / math.sqrt(2.0)
 
 _INF = complex(math.inf, 0.0)
 
+# lattice rows per block of wp_direct_sum
+_DIRECT_SUM_ROWS = 64
+
 
 def eisenstein_g4() -> float:
     """Weight-4 lattice sum  G4 = sum over nonzero lattice points of w^-4.
@@ -89,7 +92,9 @@ def wp_direct_sum(z: complex, tol: float = 1e-9) -> complex:
     where the three subtracted correction terms sum to exactly zero
     (odd powers) or to the restored 3*G4*z^2 term (even power) over the full
     lattice because the disk truncation is symmetric under w -> -w, i*w.
-    Independent of the Laurent-series production path; used as its oracle.
+    The lattice is summed in blocks of _DIRECT_SUM_ROWS rows, so memory stays
+    bounded however small tol is.  Independent of the Laurent-series
+    production path; used as its oracle.
     """
     z = complex(z)
     if abs(z) < POLE_CUTOFF:
@@ -97,20 +102,21 @@ def wp_direct_sum(z: complex, tol: float = 1e-9) -> complex:
     R = direct_sum_radius(abs(z), 0.5 * tol)
     K = int(R / PI) + 1
     idx = np.arange(-K, K + 1)
-    mm, nn = np.meshgrid(idx, idx)
-    w = (PI * (mm + 1j * nn)).ravel()
-    r = np.abs(w)
-    w = w[(r > 0) & (r <= R)]
-    iw = 1.0 / w
-    iw2 = iw * iw
-    s = np.sum(
-        1.0 / ((z - w) ** 2)
-        - iw2
-        - (2.0 * z) * iw2 * iw
-        - (3.0 * z * z) * iw2 * iw2
-        - (4.0 * z ** 3) * iw2 * iw2 * iw
-    )
-    return 1.0 / (z * z) + complex(s) + 3.0 * eisenstein_g4() * z * z
+    s = 0j
+    for start in range(0, idx.size, _DIRECT_SUM_ROWS):
+        w = (PI * (idx[None, :] + 1j * idx[start:start + _DIRECT_SUM_ROWS, None])).ravel()
+        r = np.abs(w)
+        w = w[(r > 0) & (r <= R)]
+        iw = 1.0 / w
+        iw2 = iw * iw
+        s += complex(np.sum(
+            1.0 / ((z - w) ** 2)
+            - iw2
+            - (2.0 * z) * iw2 * iw
+            - (3.0 * z * z) * iw2 * iw2
+            - (4.0 * z ** 3) * iw2 * iw2 * iw
+        ))
+    return 1.0 / (z * z) + s + 3.0 * eisenstein_g4() * z * z
 
 
 def _laurent_coefficients(g2: float, count: int) -> np.ndarray:

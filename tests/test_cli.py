@@ -165,7 +165,9 @@ def test_cli_verify_passes_on_seeds_that_probe_near_poles(seed, capsys):
 def test_cli_import_stays_free_of_scipy():
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    probe = "import sys, speiserdim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # no scipy (a test-only oracle) and no concurrent.futures (renders run on one thread)
+    probe = ("import sys, speiserdim.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))")
     loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, check=True, timeout=60).stdout
     assert loaded.strip() == "[]"

@@ -17,10 +17,8 @@ from speiserdim import (
     MapFamily,
     PoleData,
     UndefinedDimensionError,
-    auto_base_index,
     box_counting,
     continuity_envelope,
-    default_box_scales,
     enumerate_poles,
     estimate_branch_contractions,
     formula_lower,
@@ -33,6 +31,7 @@ from speiserdim import (
     synthetic_lattice_branches,
 )
 from speiserdim.config import ExperimentConfig
+from speiserdim.dimension import auto_base_index, default_box_scales
 from speiserdim.families import _linear_fit
 
 

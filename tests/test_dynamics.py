@@ -1,5 +1,7 @@
 """Fixed points, orbit classification, Koenigs linearization, raster rendering."""
 
+import threading
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -205,6 +207,16 @@ def test_symmetric_render_rechecks_step_zero_of_column_mirrors(threads):
     assert codes[1, 0] == 1 and codes[1, 2] == 0
     guard = (DEFAULT_GUARD_MODULUS, DEFAULT_GUARD_EXITS)
     assert np.array_equal(codes, _full_grid_codes(grid, FAM, FP, guard))
+
+
+def test_render_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError("render started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    grid = GridSpec(center=0j, half_width=2.0, resolution=131, max_iterations=30)
+    raster = render(grid, FAM, FP, threads=2, guard_modulus=30.0, guard_exit_limit=2)
+    assert raster.codes.shape == (131, 131)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 0])

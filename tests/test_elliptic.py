@@ -15,14 +15,13 @@ from hypothesis import strategies as st
 
 from speiserdim import (
     PI,
-    POLE_CUTOFF,
     eisenstein_g4,
     square_lattice,
     wp,
     wp_direct_sum,
     wp_prime,
 )
-from speiserdim.elliptic import _wp_array
+from speiserdim.elliptic import POLE_CUTOFF, _wp_array, direct_sum_radius
 
 
 def brute_weight4_sum(k):
@@ -174,8 +173,6 @@ def test_laurent_head_dominates_near_origin():
 
 
 def test_direct_sum_radius_grows_with_tightness():
-    from speiserdim import direct_sum_radius
-
     assert direct_sum_radius(1.0, 1e-12) > direct_sum_radius(1.0, 1e-6)
     assert direct_sum_radius(10.0, 1e-9) > direct_sum_radius(1.0, 1e-9)
 

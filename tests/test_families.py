@@ -12,7 +12,6 @@ from speiserdim import (
     PI,
     MapFamily,
     PoleRangeError,
-    coeff_magnitude,
     enumerate_poles,
     eval_deriv,
     eval_deriv_array,
@@ -22,7 +21,7 @@ from speiserdim import (
     nearest_pole,
     square_lattice,
 )
-from speiserdim.families import TAGS
+from speiserdim.families import TAGS, coeff_magnitude
 
 E1 = square_lattice().e1
 
