@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .dimension import (
 from .dynamics import (
     LinearizationDomainError,
     NoAttractingFixedPointError,
+    basin_radius,
     find_attracting_fixed_point,
     koenigs_check,
     koenigs_value,
@@ -70,6 +72,9 @@ _COMMAND_ERRORS = (
     ValueError,
     ArithmeticError,
 )
+
+# the domain failures of one sweep row; any other error ends the sweep
+_SWEEP_ROW_ERRORS = (NoAttractingFixedPointError, UndefinedDimensionError, DegenerateMultiplierError)
 
 
 def _fmt(x: float) -> str:
@@ -241,6 +246,16 @@ def _run_verify(cfg: ExperimentConfig, seed: int) -> tuple[str, bool]:
     g0 = koenigs_value(fam_fl, fp, complex(fp.location))
     c.add("koenigs-derivative-one", abs((g1 - g0) / 1e-5 - 1.0), 1e-4)
 
+    # the basin circle, iterated until basin_radius's bound (t = 1/2) is below tol
+    r = basin_radius(fam_fl, fp, cfg.guard_modulus)
+    z = fp.location + r * np.exp(2j * np.pi * np.arange(64) / 64)
+    q, hit = 1.0, False
+    while q * 2.25 * r / (1 - q / 2) ** 2 >= cfg.attraction_tol:
+        z, pole = eval_family_array(fam_fl, z)
+        q, hit = q * abs(fp.multiplier), hit or bool(pole.any())
+    trap = math.inf if hit else float(np.max(np.abs(z - fp.location)))
+    c.add("basin-disk-traps-orbits", trap, cfg.attraction_tol)
+
     return c.report()
 
 
@@ -292,14 +307,17 @@ def cmd_sweep(cfg: ExperimentConfig, out: str, seed: int) -> int:
     lams = np.linspace(cfg.lambda_min, cfg.lambda_max, cfg.lambda_count)
     lines = [f"# {line}" for line in config_comment_lines(cfg)]
     lines.append(_SWEEP_COLUMNS)
+    grid = cfg.to_grid()
     prev: tuple[float, float] | None = None  # (multiplier, box dim) of last good row
     for lam in lams:
         lam = float(lam)
         try:
             fp = find_attracting_fixed_point(lam, cfg.m, cfg.p, cfg.eta)
             family = MapFamily(tag="FLambda", lam=lam, m=cfg.m, p=cfg.p, eta=cfg.eta)
+            # box counting reads attracted or not, so orbits stop at the certified disk
+            tol = max(grid.attraction_tol, basin_radius(family, fp, cfg.guard_modulus))
             raster = render(
-                cfg.to_grid(),
+                replace(grid, attraction_tol=tol),
                 family,
                 fp,
                 guard_modulus=cfg.guard_modulus,
@@ -332,7 +350,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: str, seed: int) -> int:
                 "ok",
             ]
             prev = (fp.multiplier, est.value)
-        except _COMMAND_ERRORS as exc:
+        except _SWEEP_ROW_ERRORS as exc:
             fields = [_fmt(lam)] + ["nan"] * 10 + ["0", f"failed: {_sanitize(str(exc))}"]
         lines.append(",".join(fields))
     path = out or cfg.out or "sweep.csv"

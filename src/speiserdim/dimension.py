@@ -448,7 +448,7 @@ def continuity_envelope(dim_lambda: float, K: float, mode: str) -> tuple[float, 
     sharper area-distortion envelope; always nested inside holder for K > 1.
     """
     if not 0.0 < dim_lambda <= 2.0:
-        raise ValueError("dim_lambda must lie in (0, 2]")
+        raise UndefinedDimensionError("dim_lambda must lie in (0, 2]")
     if K < 1.0:
         raise ValueError("K must be at least 1")
     if mode == "holder":

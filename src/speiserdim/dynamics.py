@@ -11,7 +11,10 @@ Orbits that survive `max_iterations` steps without a verdict are
 Undetermined; they are counted and reported, never dropped.
 
 The raster target set for dimension estimates is Julia plus Undetermined,
-i.e. everything not observed to be attracted.
+i.e. everything not observed to be attracted.  The sweep, which reads only
+that set, renders with `attraction_tol` raised to `basin_radius`, a disk
+proven to trap its orbits; the only class it can change is Undetermined to
+attracted, where the budget ran out on an orbit that provably converges.
 
 When no attracting fixed point is supplied, rendering falls back to an
 attracting-cycle sweep: a pixel counts as attracted when its orbit revisits
@@ -439,6 +442,30 @@ def koenigs_value(
     if best < 1e-6:
         return best_val
     raise LinearizationDomainError("Koenigs iteration exhausted its step budget")
+
+
+def basin_radius(family: MapFamily, fp: FixedPointData, guard_modulus: float) -> float:
+    """Radius r of a disk D(fp, r) whose orbits provably converge to fp, or 0.
+
+    The Koenigs function phi (koenigs_value, phi'(fp) = 1) has an inverse psi
+    that continues univalently through branches of f^-1 while psi(D(0, |mu| s))
+    holds no singular value.  Here sing(f^-1) = {0, f(0), infinity} (f(0) = eta
+    for H, Hm, FLambda) and phi(f(0)) = mu phi(0), so psi is univalent on
+    D(0, rho), rho = |phi(0)|.  Koebe's growth theorem at t = 1/2 puts D(fp, r),
+    r = t rho / (1 + t)^2, inside psi(D(0, t rho)), and each orbit from there
+    obeys |f^n(z) - fp| <= |mu|^n t rho / (1 - |mu|^n t)^2: it converges, hits
+    no pole and stays below the guard if |fp| + t rho / (1 - t)^2 < guard_modulus.
+    Returns 0, which keeps the attraction_tol rule, when that fails or when
+    koenigs_value raises (mu = 0 included).
+    """
+    t = 0.5
+    try:
+        rho = abs(koenigs_value(family, fp, 0j))
+    except LinearizationDomainError:
+        return 0.0
+    if abs(fp.location) + t * rho / (1 - t) ** 2 >= guard_modulus:
+        return 0.0
+    return t * rho / (1 + t) ** 2
 
 
 def koenigs_check(family: MapFamily, fp: FixedPointData, z: complex) -> float:

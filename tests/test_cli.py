@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from speiserdim import (
@@ -18,6 +19,8 @@ from speiserdim import (
 )
 from speiserdim.cli import main
 from speiserdim.config import validate_config
+from speiserdim.dimension import box_counting
+from speiserdim.dynamics import LinearizationDomainError
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -245,6 +248,68 @@ def test_cli_sweep_reports_failed_rows_and_continues(tmp_path):
         assert row[12].startswith("failed: ")
         assert "," not in row[12]
         assert row[3] == "nan"
+
+
+def test_cli_sweep_raises_program_errors(tmp_path, monkeypatch, capsys):
+    # a bug is not a domain failure: it must not become a failed row
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr("speiserdim.cli.box_counting", broken)
+    cfg = write_config(tmp_path, (
+        "lambda_min = 0.9\nlambda_max = 1.0\nlambda_count = 2\n"
+        "grid_resolution = 64\nmax_iterations = 30\n"
+    ))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: float division by zero")
+    assert not out.exists()
+
+
+def test_cli_sweep_row_after_a_zero_dimension_fails_in_place(tmp_path, monkeypatch):
+    # a target inside one box at every scale has box dimension 0, where the
+    # next row's continuity envelope is undefined
+    point = np.zeros((64, 64), dtype=bool)
+    point[3, 5] = True
+    monkeypatch.setattr("speiserdim.cli.box_counting", lambda raster, scales: box_counting(point, scales))
+    cfg = write_config(tmp_path, (
+        "lambda_min = 0.9\nlambda_max = 1.0\nlambda_count = 2\n"
+        "grid_resolution = 64\nmax_iterations = 30\n"
+    ))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    body = [l for l in out.read_text(encoding="utf-8").splitlines() if not l.startswith("#")]
+    first, second = (l.split(",") for l in body[1:])
+    assert (first[3], first[12]) == ("0", "ok")
+    assert second[12] == "failed: dim_lambda must lie in (0; 2]"
+
+
+def test_cli_sweep_without_basin_disk_writes_the_same_csv(tmp_path, monkeypatch):
+    # without a Koenigs limit the sweep keeps the attraction_tol rule
+    cfg = write_config(tmp_path, (
+        "lambda_min = 0.75\nlambda_max = 1.0\nlambda_count = 3\n"
+        "grid_resolution = 128\nmax_iterations = 80\n"
+    ))
+    trapped = tmp_path / "trapped.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(trapped)]) == 0
+    calls = []
+
+    def fail(*args, **kwargs):
+        calls.append(args)
+        raise LinearizationDomainError("no Koenigs limit")
+
+    monkeypatch.setattr("speiserdim.dynamics.koenigs_value", fail)
+    plain = tmp_path / "plain.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(plain)]) == 0
+    assert len(calls) == 3
+    text = plain.read_text(encoding="utf-8")
+    assert "failed" not in text
+    assert text == trapped.read_text(encoding="utf-8")
+
+
+def test_cli_verify_checks_the_basin_disk(capsys):
+    assert main(["verify", "--seed", "0"]) == 0
+    assert re.search(r"^PASS  basin-disk-traps-orbits ", capsys.readouterr().out, re.M)
 
 
 def test_cli_dim_lower_synthetic_table(tmp_path):

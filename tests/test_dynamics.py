@@ -1,6 +1,7 @@
 """Fixed points, orbit classification, Koenigs linearization, raster rendering."""
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,13 +16,20 @@ from speiserdim import (
     NoAttractingFixedPointError,
     eval_deriv,
     eval_family,
+    eval_family_array,
     find_attracting_fixed_point,
     koenigs_check,
     koenigs_value,
     nearest_pole,
     render,
 )
-from speiserdim.dynamics import DEFAULT_GUARD_EXITS, DEFAULT_GUARD_MODULUS, _brentq, _iterate_block
+from speiserdim.dynamics import (
+    DEFAULT_GUARD_EXITS,
+    DEFAULT_GUARD_MODULUS,
+    _brentq,
+    _iterate_block,
+    basin_radius,
+)
 
 FAM = MapFamily(tag="FLambda", lam=1.0, m=9, p=1, eta=0.3)
 FP = find_attracting_fixed_point(1.0, 9, 1, 0.3)
@@ -279,3 +287,80 @@ def test_root_finder_endpoints_and_bad_bracket():
     assert _brentq(lambda x: x - 2.0, 1.0, 2.0, 1e-12, 1e-15) == 2.0
     with pytest.raises(ValueError, match="different signs"):
         _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-15)
+
+
+# (p, eta, m) with an attracting fixed point at every lambda of SWEEP_LAMBDAS
+BASIN_PARAMS = [(1, 0.3, 9), (2, 0.3, 9), (1, 0.1, 3), (1, 0.5, 1)]
+
+
+@pytest.mark.parametrize("p, eta, m", BASIN_PARAMS)
+def test_basin_disk_traps_orbits(p, eta, m):
+    # basin_radius uses t = 1/2, so rho = 4.5 r, the orbit bound is
+    # |mu|^n * 2.25 r / (1 - |mu|^n / 2)^2 and the orbits stay in D(fp, 9 r)
+    rng = np.random.default_rng(8)
+    circle = np.exp(2j * np.pi * np.arange(64) / 64)
+    inside = np.sqrt(rng.uniform(0.0, 1.0, 64)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 64))
+    for lam in SWEEP_LAMBDAS:
+        fp = find_attracting_fixed_point(lam, m, p, eta)
+        family = MapFamily(tag="FLambda", lam=lam, m=m, p=p, eta=eta)
+        r = basin_radius(family, fp, 30.0)
+        assert r > 0.0
+        z = fp.location + r * np.concatenate([circle, inside])
+        q = 1.0
+        while q * 2.25 * r / (1 - q / 2) ** 2 >= 1e-6:
+            z, pole = eval_family_array(family, z)
+            assert not pole.any()
+            assert np.max(np.abs(z - fp.location)) < 9.0 * r
+            q *= abs(fp.multiplier)
+        assert np.max(np.abs(z - fp.location)) < 1e-6
+
+
+def test_basin_radius_falls_back_to_zero(monkeypatch):
+    r = basin_radius(FAM, FP, 30.0)
+    assert r == 0.5 * abs(koenigs_value(FAM, FP, 0j)) / 1.5 ** 2
+    assert 0.03 < r < 0.033
+    # the orbits of D(fp, r) are only bounded by |fp| + 9 r
+    assert basin_radius(FAM, FP, abs(FP.location) + 8.9 * r) == 0.0
+    assert basin_radius(FAM, FP, abs(FP.location) + 9.1 * r) == r
+    assert basin_radius(FAM, replace(FP, multiplier=0.0), 30.0) == 0.0
+
+    def fail(*args, **kwargs):
+        raise LinearizationDomainError("no Koenigs limit")
+
+    monkeypatch.setattr("speiserdim.dynamics.koenigs_value", fail)
+    assert basin_radius(FAM, FP, 30.0) == 0.0
+
+
+def _render_with_and_without_basin(lam, grid, guard, exits):
+    fp = find_attracting_fixed_point(lam, 9, 1, 0.3)
+    family = MapFamily(tag="FLambda", lam=lam, m=9, p=1, eta=0.3)
+    tol = max(grid.attraction_tol, basin_radius(family, fp, guard))
+    assert tol > grid.attraction_tol
+    plain = render(grid, family, fp, guard_modulus=guard, guard_exit_limit=exits)
+    trapped = render(replace(grid, attraction_tol=tol), family, fp,
+                     guard_modulus=guard, guard_exit_limit=exits)
+    return plain.codes, trapped.codes
+
+
+@pytest.mark.parametrize("lam, grid, guard, exits", [
+    (0.75, GridSpec(resolution=64, max_iterations=60), 30.0, 2),
+    (1.0, GridSpec(resolution=64, max_iterations=100), 30.0, 2),
+    (0.87, GridSpec(resolution=128, max_iterations=60), 30.0, 2),
+    (1.0, GridSpec(center=0.3 + 0.2j, half_width=1.5, resolution=96, max_iterations=60), 30.0, 2),
+    (0.9, GridSpec(resolution=64, max_iterations=60), 1e12, 3),
+])
+def test_basin_radius_keeps_the_render_masks(lam, grid, guard, exits):
+    plain, trapped = _render_with_and_without_basin(lam, grid, guard, exits)
+    assert np.array_equal(plain < 0, trapped < 0)
+    assert np.array_equal(plain == CODE_JULIA, trapped == CODE_JULIA)
+
+
+@pytest.mark.parametrize("lam, iterations", [(0.75, 12), (1.0, 16)])
+def test_basin_radius_only_turns_undetermined_into_attracted(lam, iterations):
+    # a small budget runs out on orbits the disk already proves convergent
+    plain, trapped = _render_with_and_without_basin(
+        lam, GridSpec(resolution=64, max_iterations=iterations), 30.0, 2)
+    flips = np.minimum(plain, 0) != np.minimum(trapped, 0)
+    assert flips.any()
+    assert np.all(plain[flips] == CODE_UNDETERMINED)
+    assert np.all(trapped[flips] >= 0)
