@@ -29,7 +29,9 @@ from .dimension import (
     InsufficientPolesError,
     UndefinedDimensionError,
     box_counting,
+    check_box_scales,
     continuity_envelope,
+    default_box_scales,
     estimate_branch_contractions,
     formula_lower,
     formula_upper,
@@ -304,6 +306,13 @@ _SWEEP_COLUMNS = (
 
 
 def cmd_sweep(cfg: ExperimentConfig, out: str, seed: int) -> int:
+    # checked here, not in validate_config: render takes any grid_resolution
+    scales = cfg.box_scale_list() or default_box_scales(cfg.grid_resolution)
+    try:
+        check_box_scales(scales)
+    except ValueError as exc:
+        key = "box_scales" if cfg.box_scales.strip() else "grid_resolution"
+        raise ConfigError(f"box scales {scales} from {key}: {exc}") from None
     lams = np.linspace(cfg.lambda_min, cfg.lambda_max, cfg.lambda_count)
     lines = [f"# {line}" for line in config_comment_lines(cfg)]
     lines.append(_SWEEP_COLUMNS)
@@ -323,7 +332,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: str, seed: int) -> int:
                 guard_modulus=cfg.guard_modulus,
                 guard_exit_limit=cfg.guard_exits,
             )
-            est = box_counting(raster, cfg.box_scale_list())
+            est = box_counting(raster, scales)
             if prev is None:
                 K = math.nan
                 hol = (math.nan, math.nan)
@@ -508,6 +517,9 @@ def main(argv: list[str] | None = None) -> int:
     out = args.out or ""
     try:
         return _COMMANDS[args.command](cfg, out, seed)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except _COMMAND_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -311,12 +311,12 @@ def _increment_ratio(terms: np.ndarray) -> float:
 _RATIO_MARGIN = 0.9
 
 
-def _bisect_ratio(poles, multiplicity, level: float, t_lo: float, t_hi: float) -> float:
-    """t with increment-ratio(t) = level; the ratio decreases in t."""
+def _bisect_ratio(bases: np.ndarray, level: float, t_lo: float, t_hi: float) -> float:
+    """t with increment-ratio(bases ** t) = level; the ratio decreases in t."""
     lo, hi = t_lo, t_hi
     while hi - lo > 1e-4:
         mid = 0.5 * (lo + hi)
-        if _increment_ratio(series_terms(poles, mid, multiplicity)) > level:
+        if _increment_ratio(bases ** mid) > level:
             lo = mid
         else:
             hi = mid
@@ -333,25 +333,26 @@ def series_exponent(poles: list[PoleData], t_hi: float = 4.0) -> DimensionEstima
     if len(poles) < 20:
         raise InsufficientPolesError(f"{len(poles)} poles; need at least 20")
     mult = max(p.multiplicity for p in poles)
+    bases = series_terms(poles, 1.0, mult)  # x ** 1.0 == x: bases ** t is series_terms bitwise
     t_min = 1e-3
-    r_min = _increment_ratio(series_terms(poles, t_min, mult))
-    r_max = _increment_ratio(series_terms(poles, t_hi, mult))
+    r_min = _increment_ratio(bases ** t_min)
+    r_max = _increment_ratio(bases ** t_hi)
 
     if r_min <= 1.0:
         value = 0.0 if r_min < 1.0 else t_min
     elif r_max >= 1.0:
         value = t_hi
     else:
-        value = _bisect_ratio(poles, mult, 1.0, t_min, t_hi)
+        value = _bisect_ratio(bases, 1.0, t_min, t_hi)
 
     if r_min <= 1.0 / _RATIO_MARGIN:
         lo = 0.0
     else:
-        lo = _bisect_ratio(poles, mult, 1.0 / _RATIO_MARGIN, t_min, t_hi)
+        lo = _bisect_ratio(bases, 1.0 / _RATIO_MARGIN, t_min, t_hi)
     if r_max >= _RATIO_MARGIN:
         hi = t_hi
     else:
-        hi = _bisect_ratio(poles, mult, _RATIO_MARGIN, t_min, t_hi)
+        hi = _bisect_ratio(bases, _RATIO_MARGIN, t_min, t_hi)
 
     value = _clamp_dim(value)
     lo = min(_clamp_dim(lo), value)
@@ -370,6 +371,16 @@ def default_box_scales(resolution: int) -> list[int]:
     return [s for s in scales if s <= max(resolution // 2, 4)]
 
 
+def check_box_scales(scales: list[int]) -> list[int]:
+    """Sorted distinct scales; ValueError unless there are 4 or more, all positive."""
+    scales = sorted({int(s) for s in scales})
+    if len(scales) < 4:
+        raise ValueError("need at least 4 distinct scales")
+    if scales[0] < 1:
+        raise ValueError("scales must be positive pixel sizes")
+    return scales
+
+
 def box_counting(target, scales: list[int] | None = None) -> DimensionEstimate:
     """Box-counting slope of log N(s) against log(1/s) over pixel scales.
 
@@ -382,13 +393,7 @@ def box_counting(target, scales: list[int] | None = None) -> DimensionEstimate:
         raise ValueError("target mask must be two-dimensional")
     if not mask.any():
         raise UndefinedDimensionError("target set is empty; box dimension undefined")
-    if scales is None:
-        scales = default_box_scales(min(mask.shape))
-    scales = sorted({int(s) for s in scales})
-    if len(scales) < 4:
-        raise ValueError("need at least 4 distinct scales")
-    if scales[0] < 1:
-        raise ValueError("scales must be positive pixel sizes")
+    scales = check_box_scales(default_box_scales(min(mask.shape)) if scales is None else scales)
 
     rows = np.flatnonzero(mask.any(axis=1))
     cols = np.flatnonzero(mask.any(axis=0))

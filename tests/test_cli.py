@@ -266,6 +266,23 @@ def test_cli_sweep_raises_program_errors(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, key", [
+    ("grid_resolution = 32\n", "grid_resolution"),
+    ("grid_resolution = 64\nbox_scales = 4, 8, 16\n", "box_scales"),
+])
+def test_cli_sweep_rejects_too_few_box_scales_before_rendering(tmp_path, monkeypatch, capsys, text, key):
+    renders = []
+    monkeypatch.setattr("speiserdim.cli.render", lambda *args, **kwargs: renders.append(args))
+    cfg = write_config(tmp_path, "lambda_min = 0.9\nlambda_max = 1.0\nlambda_count = 2\n" + text)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert key in err and "4 distinct scales" in err
+    assert renders == []
+    assert not out.exists()
+
+
 def test_cli_sweep_row_after_a_zero_dimension_fails_in_place(tmp_path, monkeypatch):
     # a target inside one box at every scale has box dimension 0, where the
     # next row's continuity envelope is undefined

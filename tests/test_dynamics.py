@@ -235,6 +235,32 @@ def test_symmetric_render_over_several_blocks(threads):
     assert np.array_equal(raster.codes, _full_grid_codes(grid, FAM, FP, guard))
 
 
+# fixed-point mode with tol 0.05, so the column mirror's step-0 redo has
+# pixels near fp to redo, and FMax's cycle mode over column pairs with tol
+# 0.5, so that some of its orbits count as attracted
+@pytest.mark.parametrize("family, fp, grid, guard", [
+    (FAM, FP, GridSpec(resolution=160, max_iterations=60, attraction_tol=0.05), (30.0, 2)),
+    (MapFamily(tag="FMax"), None, GridSpec(resolution=96, max_iterations=120, attraction_tol=0.5),
+     (DEFAULT_GUARD_MODULUS, DEFAULT_GUARD_EXITS)),
+], ids=["fixed-point", "cycle"])
+def test_render_codes_do_not_depend_on_the_block_size(monkeypatch, family, fp, grid, guard):
+    if fp is not None:
+        assert (np.abs(grid.pixel_centers() - fp.location) < grid.attraction_tol).any()
+    codes = []
+    for block in (1000, 4096, grid.resolution ** 2 + 1):
+        monkeypatch.setattr("speiserdim.dynamics._BLOCK_POINTS", block)
+        codes.append(render(grid, family, fp, guard_modulus=guard[0], guard_exit_limit=guard[1]).codes)
+    assert np.array_equal(codes[0], codes[1]) and np.array_equal(codes[0], codes[2])
+    assert (codes[0] == CODE_JULIA).any() and (codes[0] >= 0).any()
+
+
+def test_attraction_outranks_a_guard_exit_in_the_same_step():
+    # |f(z0) - fp| is about 3.5e-5 < tol, and a guard below fp makes that step an exit too
+    z0 = np.array([FP.location + 1e-4])
+    assert _iterate_block(z0, FAM, FP, 50, 5e-5, FP.location / 2, 1, 3)[0] == 1
+    assert _iterate_block(z0, FAM, FP, 50, 5e-6, FP.location / 2, 1, 3)[0] == CODE_JULIA
+
+
 def test_pgm_bytes_structure():
     pole = nearest_pole(FAM).location
     grid = GridSpec(center=pole, half_width=0.01, resolution=3, max_iterations=50)
@@ -289,18 +315,27 @@ def test_root_finder_endpoints_and_bad_bracket():
         _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-15)
 
 
-# (p, eta, m) with an attracting fixed point at every lambda of SWEEP_LAMBDAS
-BASIN_PARAMS = [(1, 0.3, 9), (2, 0.3, 9), (1, 0.1, 3), (1, 0.5, 1)]
+# (p, eta, m) and lambdas with an attracting fixed point; the last two
+# have |multiplier| 0.64-0.89, where the orbit of 0 nears fp slowly
+BASIN_PARAMS = [
+    (1, 0.3, 9, SWEEP_LAMBDAS),
+    (2, 0.3, 9, SWEEP_LAMBDAS),
+    (1, 0.1, 3, SWEEP_LAMBDAS),
+    (1, 0.5, 1, SWEEP_LAMBDAS),
+    (3, 0.6, 5, (0.45, 0.5, 0.55, 0.6)),
+    (2, 0.8, 3, (0.45, 0.5, 0.55)),
+]
 
 
-@pytest.mark.parametrize("p, eta, m", BASIN_PARAMS)
-def test_basin_disk_traps_orbits(p, eta, m):
+@pytest.mark.parametrize("p, eta, m, lams", BASIN_PARAMS,
+                         ids=[f"{p}-{eta}-{m}" for p, eta, m, _ in BASIN_PARAMS])
+def test_basin_disk_traps_orbits(p, eta, m, lams):
     # basin_radius uses t = 1/2, so rho = 4.5 r, the orbit bound is
     # |mu|^n * 2.25 r / (1 - |mu|^n / 2)^2 and the orbits stay in D(fp, 9 r)
     rng = np.random.default_rng(8)
     circle = np.exp(2j * np.pi * np.arange(64) / 64)
     inside = np.sqrt(rng.uniform(0.0, 1.0, 64)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 64))
-    for lam in SWEEP_LAMBDAS:
+    for lam in lams:
         fp = find_attracting_fixed_point(lam, m, p, eta)
         family = MapFamily(tag="FLambda", lam=lam, m=m, p=p, eta=eta)
         r = basin_radius(family, fp, 30.0)
