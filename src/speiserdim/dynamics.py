@@ -340,6 +340,8 @@ def render(
     `threads` is accepted so that existing callers keep working; it has no
     effect.
     """
+    if fp is None and cycle_periods < 1:
+        raise ValueError("cycle_periods must be at least 1")
     pts = grid.pixel_centers()
     n = grid.resolution
     row, col = _mirrors(grid, family, fp)

@@ -153,6 +153,8 @@ def test_grid_validation():
         GridSpec(max_iterations=0)
     with pytest.raises(ValueError):
         GridSpec(attraction_tol=0.0)
+    with pytest.raises(ValueError, match="cycle_periods"):
+        render(GridSpec(resolution=4), MapFamily(tag="G"), None, cycle_periods=0)
 
 
 def test_pixel_centers_layout():
