@@ -418,8 +418,7 @@ def cmd_dim_lower(cfg: ExperimentConfig, out: str, seed: int) -> int:
 
 
 def _pole_density_exponent(moduli: np.ndarray) -> float:
-    """Slope of log pole-count against log radius over the enumerated range."""
-    moduli = np.sort(moduli)
+    """Slope of log pole-count against log radius over the ascending moduli."""
     radii = np.geomspace(moduli[0] * 2.0, moduli[-1], 8)
     counts = np.searchsorted(moduli, radii, side="right")
     slope, _, _ = _linear_fit(np.log(radii), np.log(counts))
@@ -439,17 +438,16 @@ def cmd_dim_upper(cfg: ExperimentConfig, out: str, seed: int) -> int:
             f"poles={len(poles)};multiplicity={est.metadata['multiplicity']};radius={cfg.series_radius:g}",
         )
     ]
-    moduli = np.array([abs(p.location) for p in poles])
+    moduli = np.array([abs(p.location) for p in poles])  # ascending, as enumerated
     rho = _pole_density_exponent(moduli)
     q = family.pole_multiplicity
     fu = formula_upper(q, rho)
     rows.append(("formula_upper", fu, 0.0, fu, f"M={q};rho={rho:.6g}"))
-    sorted_moduli = np.sort(moduli)
-    fit_hi = min(cfg.pole_radius, float(sorted_moduli[-1]))
-    fit_lo = 2.0 * float(sorted_moduli[0])
+    fit_hi = min(cfg.pole_radius, float(moduli[-1]))
+    fit_lo = 2.0 * float(moduli[0])
     if fit_hi > fit_lo * 1.5:
         radii = np.geomspace(fit_lo, fit_hi, 10)
-        counts = np.searchsorted(sorted_moduli, radii, side="right").astype(float)
+        counts = np.searchsorted(moduli, radii, side="right").astype(float)
         slope, stderr, r = _linear_fit(np.log(radii), counts)
         se = 2.0 * float(stderr)
         rows.append(

@@ -130,8 +130,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("bowen_table entries must be at least 2")
     if cfg.branch_count < 2:
         raise ConfigError("branch_count must be at least 2")
-    if cfg.branch_base_index < 0:
-        raise ConfigError("branch_base_index must be 0 (auto) or positive")
+    if not 0 <= cfg.branch_base_index < cfg.branch_count:
+        raise ConfigError("branch_base_index must be 0 (auto) or a positive index below branch_count")
     if cfg.branch_samples < 8:
         raise ConfigError("branch_samples must be at least 8")
     if cfg.pole_radius <= 0 or cfg.series_radius <= 0:

@@ -29,9 +29,9 @@ import numpy as np
 from .families import (
     MapFamily,
     PoleData,
-    _lattice_pole_locations,
     _linear_fit,
-    enumerate_poles,
+    _pole_locations,
+    _poles_up_to_count,
     eval_deriv_array,
     eval_family_array,
 )
@@ -144,16 +144,12 @@ def synthetic_lattice_branches(count: int, q: int = 4, scale: float = 2.0) -> IF
     if count < 2:
         raise ValueError("count must be at least 2")
     radius = PI * math.sqrt(count / PI) * 1.2 + 2.0 * PI
-    locs = _lattice_pole_locations(radius, PI)
-    while len(locs) < count:
+    while (locs := _pole_locations(MapFamily(tag="G"), radius)).size < count:
         radius *= 1.3
-        locs = _lattice_pole_locations(radius, PI)
-    locs.sort(key=lambda a: (abs(a), a.real, a.imag))
-    locs = locs[:count]
     expo = (q + 1.0) / q
     branches = tuple(
         IFSBranch(index=i + 1, contraction_lower=abs(a) ** (-expo) / scale, pole_location=a)
-        for i, a in enumerate(locs)
+        for i, a in enumerate(locs[:count].tolist())
     )
     return IFSBranchSet(branches=branches, base_index=1)
 
@@ -176,8 +172,11 @@ def _leading_root(family: MapFamily, a: complex, q: int) -> complex:
 
 def _invert_batch(
     family: MapFamily, a: complex, b_root: complex, q: int, targets: np.ndarray
-) -> np.ndarray:
-    """Solve f(z) = v near the pole a for every v in targets (Newton)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve f(z) = v near the pole a for every v in targets (Newton).
+
+    Returns z and f'(z), both from the pass that checks the residual.
+    """
     z = a + b_root * targets ** (-1.0 / q)
     for _ in range(60):
         f, df, pole = eval_deriv_array(family, z)
@@ -187,10 +186,10 @@ def _invert_batch(
         z = z - step
         if np.max(np.abs(step)) < 1e-13 * max(1.0, abs(a)):
             break
-    f, pf = eval_family_array(family, z)
-    if pf.any() or np.max(np.abs(f - targets)) > 1e-8 * (1.0 + np.max(np.abs(targets))):
+    f, df, pole = eval_deriv_array(family, z)
+    if pole.any() or np.max(np.abs(f - targets)) > 1e-8 * (1.0 + np.max(np.abs(targets))):
         raise _BranchEscape(f"Newton failed to invert the branch near {a!r}")
-    return z
+    return z, df
 
 
 def auto_base_index(poles: list[PoleData], r0: float) -> int:
@@ -200,15 +199,6 @@ def auto_base_index(poles: list[PoleData], r0: float) -> int:
         if abs(pd.location) > (pd.coeff_magnitude / r0) ** pd.multiplicity + r0:
             return i + 1
     raise ValueError("no admissible base pole in the enumerated range; enlarge it")
-
-
-def _poles_up_to_count(family: MapFamily, count: int) -> list[PoleData]:
-    radius = 4.0
-    poles = enumerate_poles(family, radius)
-    while len(poles) < count:
-        radius *= 1.7
-        poles = enumerate_poles(family, radius)
-    return poles
 
 
 def check_branch_radii(r0: float, r1: float) -> None:
@@ -246,8 +236,7 @@ def estimate_branch_contractions(
         raise ValueError(f"base index {M} must satisfy 1 <= M < N = {N}")
 
     q = family.pole_multiplicity
-    base = poles[M - 1]
-    a_base = base.location
+    a_base = poles[M - 1].location
     b_base = _leading_root(family, a_base, q)
     theta = 0.1357 + 2.0 * PI * np.arange(boundary_samples) / boundary_samples
     boundary = a_base + r0 * np.exp(1j * theta)
@@ -258,22 +247,12 @@ def estimate_branch_contractions(
         pk = poles[k - 1]
         try:
             b_k_root = _leading_root(family, pk.location, q)
-            w = _invert_batch(family, pk.location, b_k_root, q, boundary)
-            if np.max(np.abs(w - pk.location)) >= r1:
-                raise _BranchEscape(
-                    f"first inverse leg left D(a_{k}, r1): max offset "
-                    f"{np.max(np.abs(w - pk.location)):.3g}"
-                )
-            z = _invert_batch(family, a_base, b_base, q, w)
-            if np.max(np.abs(z - a_base)) >= r0:
-                raise _BranchEscape(
-                    f"branch image escaped D(a_{M}, r0): max offset "
-                    f"{np.max(np.abs(z - a_base)):.3g}"
-                )
-            _, dz, p1 = eval_deriv_array(family, z)
-            _, dw, p2 = eval_deriv_array(family, w)
-            if p1.any() or p2.any():
-                raise _BranchEscape("derivative sampling touched a pole cutoff")
+            w, dw = _invert_batch(family, pk.location, b_k_root, q, boundary)
+            if (offset := np.max(np.abs(w - pk.location))) >= r1:
+                raise _BranchEscape(f"first inverse leg left D(a_{k}, r1): max offset {offset:.3g}")
+            z, dz = _invert_batch(family, a_base, b_base, q, w)
+            if (offset := np.max(np.abs(z - a_base))) >= r0:
+                raise _BranchEscape(f"branch image escaped D(a_{M}, r0): max offset {offset:.3g}")
             sup = float(np.max(np.abs(dz) * np.abs(dw)))
             bk = 1.0 / (1.02 * sup)
             if not 0.0 < bk < 1.0:

@@ -26,6 +26,16 @@ lower half-plane evaluate via the conjugate symmetry f(conj z) = conj f(z)
 (for FMax: f(conj z) = -conj f(z)), arguments in the left half-plane via
 evenness.  This makes the symmetries bitwise-exact, which downstream
 classification invariants rely on.
+
+Poles lie at pi*(k + i*(l + 1/2)) for G and H and at 2*(k + i*(l + 1/2)) for
+FMax.  Those of Hm are the images m*sin(w/m) of w = pi*k + i*pi*(l + 1/2) with
+|k| <= (m-1)/2, the strip the principal arcsin reaches, and their moduli grow
+like (m/2)*exp(pi*(l + 1/2)/m); FLambda's are Hm's divided by lam.  The
+vectorized enumeration equals a per-pole loop in Python complex arithmetic
+bitwise: moduli are np.hypot(re, im), as Python's abs computes them (np.abs on
+a complex array rounds differently), and w/m, m*sin and the division by lam
+act on the real and imaginary parts separately, as Python's complex-by-real
+arithmetic does.
 """
 from __future__ import annotations
 
@@ -209,75 +219,66 @@ class PoleData:
     coeff_magnitude: float
 
 
-def _lattice_pole_locations(radius: float, step: float) -> list[complex]:
-    """Points step*(k + i*(l + 1/2)) with modulus <= radius."""
-    if radius / step > math.sqrt(_COUNT_LIMIT):
-        raise PoleRangeError(
-            f"radius {radius:g} would enumerate more than {_COUNT_LIMIT} poles"
-        )
-    out: list[complex] = []
-    lmax = int(radius / step) + 1
-    for l in range(-lmax, lmax + 1):
-        y = step * (l + 0.5)
-        if abs(y) > radius:
-            continue
-        kmax = int(math.sqrt(radius * radius - y * y) / step) + 1
-        for k in range(-kmax, kmax + 1):
-            a = complex(step * k, y)
-            if abs(a) <= radius:
-                out.append(a)
+def _complex(re, im) -> np.ndarray:
+    """re + i*im, assembled from its parts with no complex arithmetic."""
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
     return out
 
 
-def _strip_pole_locations(radius: float, m: int) -> list[complex]:
-    """Images m*sin(w/m) of the points w = pi*k + i*pi*(l + 1/2), |k| <= (m-1)/2.
+def _check_count(count: float, radius: float) -> None:
+    if count > _COUNT_LIMIT:
+        raise PoleRangeError(f"radius {radius:g} would enumerate more than {_COUNT_LIMIT} poles")
 
-    Only that strip of w-points is reachable by the principal arcsin, so these
-    are exactly the poles of the arcsin-composed family.  Moduli grow like
-    (m/2)*exp(pi*(l+1/2)/m), hence the explicit overflow guard on radius.
+
+def _pole_locations(family: MapFamily, radius: float) -> np.ndarray:
+    """Poles with |a| <= radius, sorted by (|a|, real part, imaginary part).
+
+    They are counted first, per lattice row or strip column, so that an
+    enumeration past _COUNT_LIMIT fails before any per-pole array is built.
     """
-    if radius > _RADIUS_LIMIT:
-        raise PoleRangeError(
-            f"radius {radius:g} exceeds {_RADIUS_LIMIT:g}; pole coordinates "
-            "would overflow double precision"
-        )
-    out: list[complex] = []
-    half = (m - 1) // 2
-    l = 0
-    while True:
-        y = PI * (l + 0.5) / m
-        if m * math.sinh(y) > radius:
-            break
-        for k in range(-half, half + 1):
-            w = complex(PI * k, PI * (l + 0.5))
-            a = m * complex(np.sin(np.asarray(w / m))[()])
-            if abs(a) <= radius:
-                out.append(a)
-                out.append(a.conjugate())
-        l += 1
-        if len(out) > _COUNT_LIMIT:
-            raise PoleRangeError("pole enumeration exceeded the entry limit")
-    return out
+    if family.tag in ("G", "H", "FMax"):
+        step = 2.0 if family.tag == "FMax" else PI
+        # a disk wider than sqrt(_COUNT_LIMIT) steps holds too many poles
+        # already, so rows beyond that width need no counting
+        n = int(min(radius / step, math.sqrt(_COUNT_LIMIT))) + 1
+        x = step * np.arange(-n, n + 1)
+        y = step * (np.arange(-n, n) + 0.5)
+        half_row = np.floor(np.sqrt(np.maximum(radius * radius - y * y, 0.0)) / step)
+        _check_count(np.sum(2.0 * half_row + 1.0, where=np.abs(y) <= radius), radius)
+        a = _complex(x[None, :], y[:, None]).ravel()
+        a = a[np.hypot(a.real, a.imag) <= radius]
+    else:
+        m, scale = family.m, _arcsin_scale(family)
+        if radius > _RADIUS_LIMIT * scale:
+            raise PoleRangeError(f"radius {radius:g} exceeds {_RADIUS_LIMIT * scale:g}; pole "
+                                 "coordinates would overflow double precision")
+        r = radius * scale
+        x = PI * np.arange(-(m // 2), m // 2 + 1)
+        # column k holds the levels l with sinh(pi*(l + 1/2)/m) <= sqrt((r/m)^2 - sin(x/m)^2)
+        t = np.minimum(np.abs(np.sin(x / m)) / (r / m), 1.0)
+        levels = np.floor(m * np.arcsinh(r / m * np.sqrt((1.0 - t) * (1.0 + t))) / PI + 0.5)
+        _check_count(2.0 * levels.sum(), radius)
+        y = PI * (np.arange(levels.max() + 1) + 0.5)  # one spare level absorbs rounding
+        s = np.sin(_complex(x[None, :] / m, y[:, None] / m)).ravel()
+        a = _complex(m * s.real, m * s.imag)
+        a = a[np.hypot(a.real, a.imag) <= r]
+        a = np.concatenate([a, np.conj(a)])
+        a = _complex(a.real / scale, a.imag / scale)
+    return a[np.lexsort((a.imag, a.real, np.hypot(a.real, a.imag)))]
 
 
 _COEFF_SAMPLES = 16
 _COEFF_ANGLE_OFFSET = 0.3711  # keeps samples off the axes and lattice directions
 
 
-def coeff_magnitude(
-    family: MapFamily, location: complex, multiplicity: int, radius: float | None = None
-) -> float:
-    """|b| from |f(z)| * |z - a|^q -> |b|^q sampled on a small circle about a."""
-    locs = _batch_coeff_magnitudes(family, np.asarray([location]), multiplicity, radius)
-    return float(locs[0])
-
-
 def _batch_coeff_magnitudes(
-    family: MapFamily,
-    locations: np.ndarray,
-    multiplicity: int,
-    radius: float | None = None,
+    family: MapFamily, locations: np.ndarray, multiplicity: int, radius: float | None = None
 ) -> np.ndarray:
+    """|b| at each pole a from |f(z)| * |z - a|^q -> |b|^q, sampled on a small circle.
+
+    The log-mean keeps far poles finite: f * (z - a)^q itself overflows there.
+    """
     a = locations[:, None]
     r = radius if radius is not None else np.maximum(1e-3, np.abs(a) * 1e-4)
     theta = _COEFF_ANGLE_OFFSET + 2.0 * PI * np.arange(_COEFF_SAMPLES) / _COEFF_SAMPLES
@@ -293,43 +294,23 @@ def enumerate_poles(family: MapFamily, radius: float) -> list[PoleData]:
     """All poles with |a| <= radius, sorted by modulus, |b| measured numerically."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    tag = family.tag
-    if tag in ("G", "H"):
-        locations = _lattice_pole_locations(radius, PI)
-    elif tag == "FMax":
-        locations = _lattice_pole_locations(radius, 2.0)
-    elif tag == "Hm":
-        locations = _strip_pole_locations(radius, family.m)
-    else:
-        if radius > _RADIUS_LIMIT * family.lam:
-            raise PoleRangeError(
-                f"radius {radius:g} exceeds the representable pole range at lam={family.lam:g}"
-            )
-        locations = [a / family.lam for a in _strip_pole_locations(radius * family.lam, family.m)]
-    locations.sort(key=lambda a: (abs(a), a.real, a.imag))
-    if not locations:
-        return []
+    locations = _pole_locations(family, radius)
     q = family.pole_multiplicity
-    mags = _batch_coeff_magnitudes(family, np.asarray(locations), q)
-    return [
-        PoleData(location=a, multiplicity=q, coeff_magnitude=float(b))
-        for a, b in zip(locations, mags)
-    ]
+    mags = _batch_coeff_magnitudes(family, locations, q)
+    return [PoleData(a, q, b) for a, b in zip(locations.tolist(), mags.tolist())]
+
+
+def _poles_up_to_count(family: MapFamily, count: int) -> list[PoleData]:
+    """The poles within the first radius 4 * 1.7^j that holds at least count of them."""
+    radius = 4.0
+    while _pole_locations(family, radius).size < count:
+        radius *= 1.7
+    return enumerate_poles(family, radius)
 
 
 def nearest_pole(family: MapFamily) -> PoleData:
     """The pole of smallest modulus (upper half-plane representative)."""
-    tag = family.tag
-    if tag in ("G", "H"):
-        a = 0.5j * PI
-    elif tag == "FMax":
-        a = 1j
-    else:
-        a = 1j * family.m * math.sinh(PI / (2.0 * family.m))
-        if tag == "FLambda":
-            a = a / family.lam
-    q = family.pole_multiplicity
-    return PoleData(location=a, multiplicity=q, coeff_magnitude=coeff_magnitude(family, a, q))
+    return next(p for p in _poles_up_to_count(family, 2) if p.location.imag > 0)
 
 
 def _linear_fit(x, y) -> tuple[float, float, float]:

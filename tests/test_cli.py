@@ -179,6 +179,16 @@ def test_cli_import_stays_free_of_scipy():
     assert [re.split(r"[<>=!~ ]", dep)[0] for dep in project["dependencies"]] == ["numpy"]
 
 
+
+def test_perfbench_tracer_finds_every_name_it_wraps():
+    # the traced bench wraps names in cli, dynamics and dimension; a refactor
+    # that drops one breaks only that bench, so check them here
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    done = subprocess.run([sys.executable, "-c", "import tracer; tracer.install(tracer.Tracer())"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
 def test_cli_render_deterministic_pgm(tmp_path, capsys):
     cfg = write_config(tmp_path, (
         "grid_resolution = 48\nmax_iterations = 60\nlam = 1.0\n"
@@ -282,6 +292,16 @@ def test_cli_sweep_rejects_too_few_box_scales_before_rendering(tmp_path, monkeyp
     assert renders == []
     assert not out.exists()
 
+
+
+def test_cli_dim_lower_rejects_a_base_index_past_branch_count(tmp_path, capsys):
+    cfg = write_config(tmp_path, "branch_base_index = 50\n")
+    out = tmp_path / "dim_lower.csv"
+    assert main(["dim-lower", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "branch_base_index" in err and "branch_count" in err
+    assert not out.exists()
 
 def test_cli_sweep_row_after_a_zero_dimension_fails_in_place(tmp_path, monkeypatch):
     # a target inside one box at every scale has box dimension 0, where the

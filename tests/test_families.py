@@ -20,8 +20,9 @@ from speiserdim import (
     local_exponent,
     nearest_pole,
     square_lattice,
+    synthetic_lattice_branches,
 )
-from speiserdim.families import TAGS, coeff_magnitude
+from speiserdim.families import TAGS, _batch_coeff_magnitudes, _pole_locations
 
 E1 = square_lattice().e1
 
@@ -107,15 +108,15 @@ def test_local_exponent_kind_validation():
 
 
 def test_nearest_pole_formula():
-    for m in (3, 9, 21):
-        fam = MapFamily(tag="Hm", m=m)
-        want = 1j * m * math.sinh(PI / (2.0 * m))
-        assert nearest_pole(fam).location == pytest.approx(want, rel=1e-12)
-    assert nearest_pole(MapFamily(tag="H")).location == pytest.approx(1j * PI / 2, rel=1e-12)
-    assert nearest_pole(MapFamily(tag="G")).location == pytest.approx(1j * PI / 2, rel=1e-12)
-    lam = 0.5
-    scaled = nearest_pole(MapFamily(tag="FLambda", lam=lam, m=9))
-    assert scaled.location == pytest.approx(1j * 9 * math.sinh(PI / 18.0) / lam, rel=1e-12)
+    for p in (1, 2):
+        for m in range(1, 60, 2):
+            want = 1j * m * math.sinh(PI / (2.0 * m))
+            assert nearest_pole(MapFamily(tag="Hm", m=m, p=p)).location == want
+            for lam in (0.05, 0.3, 0.5, 0.8, 0.87, 1.0):
+                assert nearest_pole(MapFamily(tag="FLambda", lam=lam, m=m, p=p)).location == want / lam
+        assert nearest_pole(MapFamily(tag="H", p=p)).location == 1j * PI / 2
+    assert nearest_pole(MapFamily(tag="G")).location == 1j * PI / 2
+    assert nearest_pole(MapFamily(tag="FMax")).location == 1j
 
 
 def test_power_family_pole_inventory():
@@ -131,15 +132,15 @@ def test_power_family_pole_inventory():
 @pytest.mark.parametrize("p", [1, 2])
 def test_pole_coefficient_closed_form(p):
     fam = MapFamily(tag="H", p=p, eta=0.3)
-    got = coeff_magnitude(fam, 1j * PI / 2, 4 * p)
+    got = nearest_pole(fam).coeff_magnitude
     assert got == pytest.approx(0.3 ** (1.0 / (4.0 * p)) / math.sqrt(E1), rel=1e-6)
 
 
 def test_coeff_magnitude_stable_under_probe_radius():
     fam = MapFamily(tag="Hm", m=9)
     a = nearest_pole(fam).location
-    r_default = coeff_magnitude(fam, a, 4)
-    r_narrow = coeff_magnitude(fam, a, 4, radius=1e-3)
+    r_default = nearest_pole(fam).coeff_magnitude
+    r_narrow = float(_batch_coeff_magnitudes(fam, np.asarray([a]), 4, radius=1e-4)[0])
     assert r_narrow == pytest.approx(r_default, rel=1e-2)
 
 
@@ -177,11 +178,101 @@ def test_pole_list_sorted_and_distinct():
 def test_pole_enumeration_range_errors():
     with pytest.raises(PoleRangeError):
         enumerate_poles(MapFamily(tag="G"), 1e5)  # count blows past the cap
+    # the cap bounds the count, not the side of the grid: about 5.1M and 4.9M poles
+    with pytest.raises(PoleRangeError, match="more than"):
+        enumerate_poles(MapFamily(tag="G"), 4000.0)
+    with pytest.raises(PoleRangeError, match="more than"):
+        enumerate_poles(MapFamily(tag="FMax"), 2500.0)
+    with pytest.raises(PoleRangeError, match="more than"):
+        enumerate_poles(MapFamily(tag="Hm", m=2001), 1e300)
+    assert len(enumerate_poles(MapFamily(tag="G"), 400.0)) == pytest.approx(400.0 ** 2 / PI, rel=0.01)
     with pytest.raises(PoleRangeError):
         enumerate_poles(MapFamily(tag="Hm", m=9), 1e307)  # beyond float-safe radius
     with pytest.raises(ValueError):
         enumerate_poles(MapFamily(tag="Hm", m=9), -1.0)
 
+
+
+# The per-pole loops the vectorized enumerator replaced, kept as its oracle.
+def _oracle_lattice(radius, step):
+    out = []
+    lmax = int(radius / step) + 1
+    for l in range(-lmax, lmax + 1):
+        y = step * (l + 0.5)
+        if abs(y) > radius:
+            continue
+        kmax = int(math.sqrt(radius * radius - y * y) / step) + 1
+        for k in range(-kmax, kmax + 1):
+            a = complex(step * k, y)
+            if abs(a) <= radius:
+                out.append(a)
+    return out
+
+
+def _oracle_strip(radius, m):
+    out = []
+    half = (m - 1) // 2
+    l = 0
+    while m * math.sinh(PI * (l + 0.5) / m) <= radius:
+        for k in range(-half, half + 1):
+            w = complex(PI * k, PI * (l + 0.5))
+            a = m * complex(np.sin(np.asarray(w / m))[()])
+            if abs(a) <= radius:
+                out.append(a)
+                out.append(a.conjugate())
+        l += 1
+    return out
+
+
+def _oracle_locations(fam, radius):
+    if fam.tag in ("G", "H", "FMax"):
+        locations = _oracle_lattice(radius, 2.0 if fam.tag == "FMax" else PI)
+    elif fam.tag == "Hm":
+        locations = _oracle_strip(radius, fam.m)
+    else:
+        locations = [a / fam.lam for a in _oracle_strip(radius * fam.lam, fam.m)]
+    locations.sort(key=lambda a: (abs(a), a.real, a.imag))
+    return np.asarray(locations, dtype=complex)
+
+
+ORACLE_CASES = (
+    [(MapFamily(tag=tag), r) for tag in ("G", "H", "FMax") for r in (0.5, 1.6, 5.0, 40.0, 1000.0)]
+    + [(MapFamily(tag="Hm", m=m), r) for m in (1, 3, 5, 9, 21, 41) for r in (1.0, 30.0, 1e80, 1e300)]
+    + [(MapFamily(tag="FLambda", m=m, lam=lam), r)
+       for m in (1, 3, 5, 9, 21, 41) for lam in (0.05, 0.3, 0.87, 1.0) for r in (1.0, 30.0, 1e80, 1e300)]
+)
+
+
+def _case_id(case):
+    fam, radius = case
+    params = {"G": "", "H": "", "FMax": "", "Hm": f"-m{fam.m}", "FLambda": f"-m{fam.m}-lam{fam.lam}"}
+    return f"{fam.tag}{params[fam.tag]}-r{radius:g}"
+
+
+@pytest.mark.parametrize("fam, radius", ORACLE_CASES, ids=[_case_id(c) for c in ORACLE_CASES])
+def test_pole_enumeration_equals_the_per_pole_loop(fam, radius):
+    want = _oracle_locations(fam, radius)
+    got = _pole_locations(fam, radius)
+    assert got.tobytes() == want.tobytes()  # locations, order and signs of zero
+    if 0 < want.size <= 2000:
+        poles = enumerate_poles(fam, radius)
+        assert np.asarray([p.location for p in poles]).tobytes() == want.tobytes()
+        mags = _batch_coeff_magnitudes(fam, want, fam.pole_multiplicity)
+        assert np.asarray([p.coeff_magnitude for p in poles]).tobytes() == mags.tobytes()
+
+
+@pytest.mark.parametrize("count", [2, 100, 10000])
+def test_synthetic_branches_equal_the_per_pole_loop(count):
+    radius = PI * math.sqrt(count / PI) * 1.2 + 2.0 * PI
+    locs = _oracle_locations(MapFamily(tag="G"), radius)
+    while len(locs) < count:
+        radius *= 1.3
+        locs = _oracle_locations(MapFamily(tag="G"), radius)
+    got = synthetic_lattice_branches(count)
+    assert got.base_index == 1 and got.rejected == ()
+    assert [(b.index, b.contraction_lower, b.pole_location) for b in got.branches] == [
+        (i + 1, abs(a) ** -1.25 / 2.0, a) for i, a in enumerate(locs[:count].tolist())
+    ]
 
 def test_branch_cut_evaluated_as_upper_limit():
     # numpy arcsin on the cut takes the limit from above; the family must
