@@ -60,59 +60,3 @@ from .dimension import (
 from .config import ConfigError, ExperimentConfig, load_config, parse_config, serialize_config
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CODE_JULIA",
-    "CODE_UNDETERMINED",
-    "ConfigError",
-    "ContractionViolationError",
-    "DegenerateMultiplierError",
-    "DegenerateSystemError",
-    "DimensionEstimate",
-    "ExperimentConfig",
-    "ExtendedComplex",
-    "FixedPointData",
-    "GridSpec",
-    "IFSBranch",
-    "IFSBranchSet",
-    "INFINITY",
-    "InsufficientPolesError",
-    "LinearizationDomainError",
-    "MapFamily",
-    "NoAttractingFixedPointError",
-    "PoleData",
-    "PoleRangeError",
-    "RasterResult",
-    "UndefinedDimensionError",
-    "box_counting",
-    "continuity_envelope",
-    "PI",
-    "eisenstein_g4",
-    "enumerate_poles",
-    "estimate_branch_contractions",
-    "eval_deriv",
-    "eval_deriv_array",
-    "eval_family",
-    "eval_family_array",
-    "find_attracting_fixed_point",
-    "formula_lower",
-    "formula_upper",
-    "koenigs_check",
-    "koenigs_value",
-    "load_config",
-    "local_exponent",
-    "multiplier_sign_mismatch",
-    "nearest_pole",
-    "parse_config",
-    "qc_dilatation",
-    "render",
-    "serialize_config",
-    "series_exponent",
-    "series_terms",
-    "solve_bowen",
-    "square_lattice",
-    "synthetic_lattice_branches",
-    "wp",
-    "wp_direct_sum",
-    "wp_prime",
-]

@@ -72,7 +72,6 @@ _COMMAND_ERRORS = (
     UndefinedDimensionError,
     DegenerateMultiplierError,
     ValueError,
-    ArithmeticError,
 )
 
 # the domain failures of one sweep row; any other error ends the sweep
@@ -382,8 +381,14 @@ def cmd_dim_lower(cfg: ExperimentConfig, out: str, seed: int) -> int:
     q = family.pole_multiplicity
     rows: list[tuple[str, float, float, float, str]] = []
     if cfg.bowen_mode == "synthetic":
-        for n in (int(x) for x in cfg.bowen_table.split(",") if x.strip()):
-            t = solve_bowen(synthetic_lattice_branches(n, q=q))
+        table = [int(x) for x in cfg.bowen_table.split(",") if x.strip()]
+        # every entry's branches are a prefix of the largest entry's
+        try:
+            largest = synthetic_lattice_branches(max(table), q=q)
+        except PoleRangeError as exc:
+            raise ConfigError(f"bowen_table entry {max(table)} is too large: {exc}") from None
+        for n in table:
+            t = solve_bowen(IFSBranchSet(largest.branches[:n], largest.base_index))
             rows.append(("bowen_lower_synthetic", t, t, 2.0, f"N={n};q={q}"))
     else:
         base = cfg.branch_base_index if cfg.branch_base_index > 0 else None

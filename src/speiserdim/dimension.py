@@ -30,9 +30,11 @@ from .families import (
     MapFamily,
     PoleData,
     _linear_fit,
-    _pole_locations,
+    _pole_table,
     _poles_up_to_count,
     eval_deriv_array,
+    # not called here: perfbench's tracer wraps this name to count the
+    # evaluations made while inverting branches
     eval_family_array,
 )
 
@@ -144,7 +146,7 @@ def synthetic_lattice_branches(count: int, q: int = 4, scale: float = 2.0) -> IF
     if count < 2:
         raise ValueError("count must be at least 2")
     radius = PI * math.sqrt(count / PI) * 1.2 + 2.0 * PI
-    while (locs := _pole_locations(MapFamily(tag="G"), radius)).size < count:
+    while (locs := _pole_table(MapFamily(tag="G"), radius)[0]).size < count:
         radius *= 1.3
     expo = (q + 1.0) / q
     branches = tuple(
@@ -158,26 +160,15 @@ class _BranchEscape(RuntimeError):
     pass
 
 
-def _leading_root(family: MapFamily, a: complex, q: int) -> complex:
-    """Principal q-th root of the leading Laurent coefficient at pole a."""
-    r = max(1e-3, abs(a) * 1e-4)
-    theta = 0.377 + 2.0 * PI * np.arange(16) / 16.0
-    pts = a + r * np.exp(1j * theta)
-    vals, pole = eval_family_array(family, pts)
-    if pole.any():
-        raise _BranchEscape(f"coefficient circle at {a!r} touched a pole cutoff")
-    lead = np.mean(vals * (pts - a) ** q)
-    return complex(lead) ** (1.0 / q)
-
-
 def _invert_batch(
-    family: MapFamily, a: complex, b_root: complex, q: int, targets: np.ndarray
+    family: MapFamily, a: complex, b: complex, q: int, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve f(z) = v near the pole a for every v in targets (Newton).
+    """Solve f(z) = v near the pole a, where f(z) ~ (b/(z-a))^q, for every v
+    in targets (Newton).
 
     Returns z and f'(z), both from the pass that checks the residual.
     """
-    z = a + b_root * targets ** (-1.0 / q)
+    z = a + b * targets ** (-1.0 / q)
     for _ in range(60):
         f, df, pole = eval_deriv_array(family, z)
         if pole.any():
@@ -192,13 +183,13 @@ def _invert_batch(
     return z, df
 
 
-def auto_base_index(poles: list[PoleData], r0: float) -> int:
-    """First 1-based index whose pole is far enough out that the disk
+def auto_base_index(a: np.ndarray, b: np.ndarray, q: int, r0: float) -> int:
+    """First 1-based index whose pole a is far enough out that the disk
     D(a, r0) maps over every later pole: |a| > (|b|/r0)^q + r0."""
-    for i, pd in enumerate(poles):
-        if abs(pd.location) > (pd.coeff_magnitude / r0) ** pd.multiplicity + r0:
-            return i + 1
-    raise ValueError("no admissible base pole in the enumerated range; enlarge it")
+    admissible = np.flatnonzero(np.hypot(a.real, a.imag) > (b / r0) ** q + r0)
+    if admissible.size == 0:
+        raise ValueError("no admissible base pole in the enumerated range; enlarge it")
+    return int(admissible[0]) + 1
 
 
 def check_branch_radii(r0: float, r1: float) -> None:
@@ -229,26 +220,24 @@ def estimate_branch_contractions(
     check_branch_radii(r0, r1)
     if N < 2:
         raise ValueError("N must be at least 2")
-    poles = _poles_up_to_count(family, N)
+    a, b = _poles_up_to_count(family, N)
+    q = family.pole_multiplicity
     if M is None:
-        M = auto_base_index(poles, r0)
+        M = auto_base_index(a, np.hypot(b.real, b.imag), q, r0)
     if not 1 <= M < N:
         raise ValueError(f"base index {M} must satisfy 1 <= M < N = {N}")
 
-    q = family.pole_multiplicity
-    a_base = poles[M - 1].location
-    b_base = _leading_root(family, a_base, q)
+    a_base, b_base = complex(a[M - 1]), complex(b[M - 1])
     theta = 0.1357 + 2.0 * PI * np.arange(boundary_samples) / boundary_samples
     boundary = a_base + r0 * np.exp(1j * theta)
 
     branches: list[IFSBranch] = []
     rejected: list[tuple[int, str]] = []
     for k in range(M, N + 1):
-        pk = poles[k - 1]
+        a_k = complex(a[k - 1])
         try:
-            b_k_root = _leading_root(family, pk.location, q)
-            w, dw = _invert_batch(family, pk.location, b_k_root, q, boundary)
-            if (offset := np.max(np.abs(w - pk.location))) >= r1:
+            w, dw = _invert_batch(family, a_k, complex(b[k - 1]), q, boundary)
+            if (offset := np.max(np.abs(w - a_k))) >= r1:
                 raise _BranchEscape(f"first inverse leg left D(a_{k}, r1): max offset {offset:.3g}")
             z, dz = _invert_batch(family, a_base, b_base, q, w)
             if (offset := np.max(np.abs(z - a_base))) >= r0:
@@ -257,7 +246,7 @@ def estimate_branch_contractions(
             bk = 1.0 / (1.02 * sup)
             if not 0.0 < bk < 1.0:
                 raise _BranchEscape(f"measured contraction {bk:.3g} outside (0, 1)")
-            branches.append(IFSBranch(index=k, contraction_lower=bk, pole_location=pk.location))
+            branches.append(IFSBranch(index=k, contraction_lower=bk, pole_location=a_k))
         except _BranchEscape as exc:
             rejected.append((k, str(exc)))
     if len(branches) < 2:

@@ -30,12 +30,26 @@ classification invariants rely on.
 Poles lie at pi*(k + i*(l + 1/2)) for G and H and at 2*(k + i*(l + 1/2)) for
 FMax.  Those of Hm are the images m*sin(w/m) of w = pi*k + i*pi*(l + 1/2) with
 |k| <= (m-1)/2, the strip the principal arcsin reaches, and their moduli grow
-like (m/2)*exp(pi*(l + 1/2)/m); FLambda's are Hm's divided by lam.  The
-vectorized enumeration equals a per-pole loop in Python complex arithmetic
-bitwise: moduli are np.hypot(re, im), as Python's abs computes them (np.abs on
-a complex array rounds differently), and w/m, m*sin and the division by lam
-act on the real and imaginary parts separately, as Python's complex-by-real
-arithmetic does.
+like (m/2)*exp(pi*(l + 1/2)/m); FLambda's are Hm's divided by lam.
+
+Each pole's leading coefficient b, with f(z) ~ (b/(z-a))^q, has a closed
+form: wp(v) = 1/v^2 + O(v^2), so near a pole w0 of G or H, G ~ e1^-2 (w-w0)^-4
+and H ~ eta e1^(-2p) (w-w0)^(-4p).  With f = F(phi(z)), b^q = K * c^q for
+c = 1/phi'(a), and the enumerator carries b as its principal q-th root:
+
+    family   K             c                  |b|
+    G        e1^-2         1                  e1^(-1/2)
+    FMax     i e1^-2       2/pi               (2/pi) e1^(-1/2)
+    H        eta e1^(-2p)  1                  eta^(1/(4p)) e1^(-1/2)
+    Hm       eta e1^(-2p)  cos(w0/m)          H's |b| * |cos(w0/m)|
+    FLambda  eta e1^(-2p)  cos(w0/m) / lam    Hm's |b| / lam
+
+cos(w0/m) comes from the strip grid the locations come from; sqrt(1 - (a/m)^2)
+would overflow past |a| ~ 1e154.  The enumerated locations equal a per-pole
+loop in Python complex arithmetic bitwise: moduli are np.hypot(re, im), as
+Python's abs computes them (np.abs on a complex array rounds differently),
+and w/m, m*sin and the division by lam act on the real and imaginary parts
+separately, as Python's complex-by-real arithmetic does.
 """
 from __future__ import annotations
 
@@ -231,8 +245,10 @@ def _check_count(count: float, radius: float) -> None:
         raise PoleRangeError(f"radius {radius:g} would enumerate more than {_COUNT_LIMIT} poles")
 
 
-def _pole_locations(family: MapFamily, radius: float) -> np.ndarray:
-    """Poles with |a| <= radius, sorted by (|a|, real part, imaginary part).
+def _pole_table(family: MapFamily, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Poles a with |a| <= radius, sorted by (|a|, real part, imaginary part),
+    and their coefficients b, the principal q-th roots of the b^q tabled in
+    the module docstring.
 
     They are counted first, per lattice row or strip column, so that an
     enumeration past _COUNT_LIMIT fails before any per-pole array is built.
@@ -248,6 +264,7 @@ def _pole_locations(family: MapFamily, radius: float) -> np.ndarray:
         _check_count(np.sum(2.0 * half_row + 1.0, where=np.abs(y) <= radius), radius)
         a = _complex(x[None, :], y[:, None]).ravel()
         a = a[np.hypot(a.real, a.imag) <= radius]
+        c = np.full(a.shape, 2.0 / PI if family.tag == "FMax" else 1.0, dtype=complex)
     else:
         m, scale = family.m, _arcsin_scale(family)
         if radius > _RADIUS_LIMIT * scale:
@@ -260,57 +277,47 @@ def _pole_locations(family: MapFamily, radius: float) -> np.ndarray:
         levels = np.floor(m * np.arcsinh(r / m * np.sqrt((1.0 - t) * (1.0 + t))) / PI + 0.5)
         _check_count(2.0 * levels.sum(), radius)
         y = PI * (np.arange(levels.max() + 1) + 0.5)  # one spare level absorbs rounding
-        s = np.sin(_complex(x[None, :] / m, y[:, None] / m)).ravel()
+        w = _complex(x[None, :] / m, y[:, None] / m).ravel()
+        s = np.sin(w)
         a = _complex(m * s.real, m * s.imag)
-        a = a[np.hypot(a.real, a.imag) <= r]
-        a = np.concatenate([a, np.conj(a)])
+        keep = np.hypot(a.real, a.imag) <= r
+        a, c = a[keep], np.cos(w[keep]) / scale
+        a, c = np.concatenate([a, np.conj(a)]), np.concatenate([c, np.conj(c)])
         a = _complex(a.real / scale, a.imag / scale)
-    return a[np.lexsort((a.imag, a.real, np.hypot(a.real, a.imag)))]
+    order = np.lexsort((a.imag, a.real, np.hypot(a.real, a.imag)))
+    a, c = a[order], c[order]
+    # b is the principal q-th root of K * c^q; its argument comes from the
+    # unit vector c/|c|, so that c^q never overflows
+    q, mag = family.pole_multiplicity, np.hypot(c.real, c.imag)
+    size = mag * (1.0 if family.tag in ("G", "FMax") else family.eta ** (1.0 / q))
+    size /= math.sqrt(square_lattice().e1)
+    turn = np.angle((1j if family.tag == "FMax" else 1.0) * (c / mag) ** q) / q
+    return a, _complex(size * np.cos(turn), size * np.sin(turn))
 
 
-_COEFF_SAMPLES = 16
-_COEFF_ANGLE_OFFSET = 0.3711  # keeps samples off the axes and lattice directions
-
-
-def _batch_coeff_magnitudes(
-    family: MapFamily, locations: np.ndarray, multiplicity: int, radius: float | None = None
-) -> np.ndarray:
-    """|b| at each pole a from |f(z)| * |z - a|^q -> |b|^q, sampled on a small circle.
-
-    The log-mean keeps far poles finite: f * (z - a)^q itself overflows there.
-    """
-    a = locations[:, None]
-    r = radius if radius is not None else np.maximum(1e-3, np.abs(a) * 1e-4)
-    theta = _COEFF_ANGLE_OFFSET + 2.0 * PI * np.arange(_COEFF_SAMPLES) / _COEFF_SAMPLES
-    pts = a + r * np.exp(1j * theta)[None, :]
-    values, pole = eval_family_array(family, pts)
-    if pole.any():
-        raise ArithmeticError("coefficient sampling circle touched a pole cutoff")
-    logs = np.log(np.abs(values)) + multiplicity * np.log(np.abs(pts - a))
-    return np.exp(logs.mean(axis=1) / multiplicity)
+def _pole_data(family: MapFamily, a: np.ndarray, b: np.ndarray) -> list[PoleData]:
+    q = family.pole_multiplicity
+    return [PoleData(x, q, y) for x, y in zip(a.tolist(), np.hypot(b.real, b.imag).tolist())]
 
 
 def enumerate_poles(family: MapFamily, radius: float) -> list[PoleData]:
-    """All poles with |a| <= radius, sorted by modulus, |b| measured numerically."""
+    """All poles with |a| <= radius, sorted by modulus, with |b| in closed form."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    locations = _pole_locations(family, radius)
-    q = family.pole_multiplicity
-    mags = _batch_coeff_magnitudes(family, locations, q)
-    return [PoleData(a, q, b) for a, b in zip(locations.tolist(), mags.tolist())]
+    return _pole_data(family, *_pole_table(family, radius))
 
 
-def _poles_up_to_count(family: MapFamily, count: int) -> list[PoleData]:
-    """The poles within the first radius 4 * 1.7^j that holds at least count of them."""
+def _poles_up_to_count(family: MapFamily, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pole table of the first radius 4 * 1.7^j that holds at least count poles."""
     radius = 4.0
-    while _pole_locations(family, radius).size < count:
+    while (table := _pole_table(family, radius))[0].size < count:
         radius *= 1.7
-    return enumerate_poles(family, radius)
+    return table
 
 
 def nearest_pole(family: MapFamily) -> PoleData:
     """The pole of smallest modulus (upper half-plane representative)."""
-    return next(p for p in _poles_up_to_count(family, 2) if p.location.imag > 0)
+    return next(p for p in _pole_data(family, *_poles_up_to_count(family, 2)) if p.location.imag > 0)
 
 
 def _linear_fit(x, y) -> tuple[float, float, float]:

@@ -17,6 +17,7 @@ from speiserdim import (
     parse_config,
     serialize_config,
 )
+from speiserdim import cli
 from speiserdim.cli import main
 from speiserdim.config import validate_config
 from speiserdim.dimension import box_counting
@@ -260,7 +261,7 @@ def test_cli_sweep_reports_failed_rows_and_continues(tmp_path):
         assert row[3] == "nan"
 
 
-def test_cli_sweep_raises_program_errors(tmp_path, monkeypatch, capsys):
+def test_cli_sweep_raises_program_errors(tmp_path, monkeypatch):
     # a bug is not a domain failure: it must not become a failed row
     def broken(*args, **kwargs):
         raise ZeroDivisionError("float division by zero")
@@ -271,9 +272,19 @@ def test_cli_sweep_raises_program_errors(tmp_path, monkeypatch, capsys):
         "grid_resolution = 64\nmax_iterations = 30\n"
     ))
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: float division by zero")
+    with pytest.raises(ZeroDivisionError, match="float division by zero"):
+        main(["sweep", "--config", cfg, "--out", str(out)])
     assert not out.exists()
+
+
+def test_cli_program_errors_propagate_from_main(monkeypatch):
+    # exit 1 is for the named domain errors; an arithmetic bug keeps its traceback
+    def broken(*args):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", broken)
+    with pytest.raises(ZeroDivisionError):
+        main(["verify"])
 
 
 @pytest.mark.parametrize("text, key", [
@@ -366,6 +377,18 @@ def test_cli_dim_lower_synthetic_table(tmp_path):
     formula = [r for r in rows if r[0] == "formula_lower"]
     assert len(formula) == 1
     assert float(formula[0][1]) == 1.6  # 2q/(q+1) at q = 4
+
+
+def test_cli_dim_lower_rejects_a_synthetic_table_past_the_pole_cap(tmp_path, monkeypatch, capsys):
+    solved = []
+    monkeypatch.setattr("speiserdim.cli.solve_bowen", lambda branch_set: solved.append(branch_set))
+    cfg = write_config(tmp_path, "bowen_mode = synthetic\nbowen_table = 100,2500000\n")
+    out = tmp_path / "lower.csv"
+    assert main(["dim-lower", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "bowen_table" in err
+    assert solved == []
+    assert not out.exists()
 
 
 def test_cli_dim_upper_rows(tmp_path):

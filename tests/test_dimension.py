@@ -141,13 +141,11 @@ def test_measured_contraction_argument_guards():
 
 
 def test_auto_base_index_picks_first_admissible_pole():
-    poles = [PoleData(location=complex(j), multiplicity=1, coeff_magnitude=1.0)
-             for j in range(1, 31)]
+    locations = np.arange(1, 31) + 0j
     # admissibility needs |a| > (|b|/r0)**q + r0 = 2.5
-    assert auto_base_index(poles, 0.5) == 3
-    cramped = [PoleData(location=1.0 + 0j, multiplicity=1, coeff_magnitude=1.0)] * 5
+    assert auto_base_index(locations, np.ones(30), 1, 0.5) == 3
     with pytest.raises(ValueError, match="enlarge"):
-        auto_base_index(cramped, 0.5)
+        auto_base_index(np.ones(5, dtype=complex), np.ones(5), 1, 0.5)
 
 
 # ---------------------------------------------------------------------------

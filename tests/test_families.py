@@ -22,7 +22,7 @@ from speiserdim import (
     square_lattice,
     synthetic_lattice_branches,
 )
-from speiserdim.families import TAGS, _batch_coeff_magnitudes, _pole_locations
+from speiserdim.families import TAGS, _pole_table
 
 E1 = square_lattice().e1
 
@@ -136,14 +136,6 @@ def test_pole_coefficient_closed_form(p):
     assert got == pytest.approx(0.3 ** (1.0 / (4.0 * p)) / math.sqrt(E1), rel=1e-6)
 
 
-def test_coeff_magnitude_stable_under_probe_radius():
-    fam = MapFamily(tag="Hm", m=9)
-    a = nearest_pole(fam).location
-    r_default = nearest_pole(fam).coeff_magnitude
-    r_narrow = float(_batch_coeff_magnitudes(fam, np.asarray([a]), 4, radius=1e-4)[0])
-    assert r_narrow == pytest.approx(r_default, rel=1e-2)
-
-
 def test_scaled_family_pole_inventory_scales():
     lam = 0.8
     base = enumerate_poles(MapFamily(tag="Hm", m=9), 20.0 * lam)
@@ -152,7 +144,7 @@ def test_scaled_family_pole_inventory_scales():
     for b, s in zip(base, scaled):
         assert s.location == pytest.approx(b.location / lam, rel=1e-9)
         assert s.multiplicity == b.multiplicity
-        assert s.coeff_magnitude == pytest.approx(b.coeff_magnitude / lam, rel=2e-2)
+        assert s.coeff_magnitude == pytest.approx(b.coeff_magnitude / lam, rel=1e-12)
 
 
 def test_pole_count_grows_like_log_radius():
@@ -249,16 +241,52 @@ def _case_id(case):
     return f"{fam.tag}{params[fam.tag]}-r{radius:g}"
 
 
+# The circle sampler the closed-form coefficients replaced, kept as their oracle:
+# f(z) * (z - a)^q -> b^q on a small circle around each pole a.
+def _sample_circle(fam, locations):
+    a = np.asarray(locations, dtype=complex)[:, None]
+    r = np.maximum(1e-3, np.abs(a) * 1e-4)
+    pts = a + r * np.exp(1j * (0.3711 + 2.0 * PI * np.arange(16) / 16))[None, :]
+    values, pole = eval_family_array(fam, pts)
+    assert not pole.any()
+    return pts - a, values
+
+
+def _sampled_coeff_magnitudes(fam, locations):
+    """|b| from the log-mean of |f(z)| * |z - a|^q, which stays finite at far poles."""
+    offsets, values = _sample_circle(fam, locations)
+    q = fam.pole_multiplicity
+    return np.exp((np.log(np.abs(values)) + q * np.log(np.abs(offsets))).mean(axis=1) / q)
+
+
+def _sampled_roots(fam, locations):
+    """The principal q-th root of the circle mean of f(z) * (z - a)^q."""
+    offsets, values = _sample_circle(fam, locations)
+    return np.mean(values * offsets ** fam.pole_multiplicity, axis=1) ** (1.0 / fam.pole_multiplicity)
+
+
 @pytest.mark.parametrize("fam, radius", ORACLE_CASES, ids=[_case_id(c) for c in ORACLE_CASES])
 def test_pole_enumeration_equals_the_per_pole_loop(fam, radius):
     want = _oracle_locations(fam, radius)
-    got = _pole_locations(fam, radius)
+    got, _ = _pole_table(fam, radius)
     assert got.tobytes() == want.tobytes()  # locations, order and signs of zero
     if 0 < want.size <= 2000:
         poles = enumerate_poles(fam, radius)
         assert np.asarray([p.location for p in poles]).tobytes() == want.tobytes()
-        mags = _batch_coeff_magnitudes(fam, want, fam.pole_multiplicity)
-        assert np.asarray([p.coeff_magnitude for p in poles]).tobytes() == mags.tobytes()
+        mags = np.asarray([p.coeff_magnitude for p in poles])
+        np.testing.assert_allclose(mags, _sampled_coeff_magnitudes(fam, want), rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("fam, radius", [
+    (MapFamily(tag="FMax"), 12.0),
+    (MapFamily(tag="FLambda", lam=0.3), 400.0),
+    (MapFamily(tag="FLambda", lam=0.3, m=5, p=2), 1e4),
+], ids=["FMax", "FLambda-lam0.3", "FLambda-lam0.3-m5-p2"])
+def test_pole_coefficients_are_the_sampled_principal_roots(fam, radius):
+    a, b = _pole_table(fam, radius)
+    assert (a.imag < 0).sum() == (a.imag > 0).sum() > 10
+    assert np.abs(b.imag).max() > 0.1 * np.abs(b).max()  # b is not real
+    np.testing.assert_allclose(b, _sampled_roots(fam, a), rtol=1e-9, atol=0)
 
 
 @pytest.mark.parametrize("count", [2, 100, 10000])
