@@ -186,9 +186,13 @@ def _invert_batch(
 def auto_base_index(a: np.ndarray, b: np.ndarray, q: int, r0: float) -> int:
     """First 1-based index whose pole a is far enough out that the disk
     D(a, r0) maps over every later pole: |a| > (|b|/r0)^q + r0."""
-    admissible = np.flatnonzero(np.hypot(a.real, a.imag) > (b / r0) ** q + r0)
+    modulus, need = np.hypot(a.real, a.imag), (b / r0) ** q + r0
+    admissible = np.flatnonzero(modulus > need)
     if admissible.size == 0:
-        raise ValueError("no admissible base pole in the enumerated range; enlarge it")
+        raise ValueError(
+            f"no admissible base pole among the {a.size} enumerated poles: one needs |a| > (|b|/r0)^q + r0, "
+            f"about {need[-1]:.4g} at r0 = {r0:g}, and the outermost has |a| = {modulus[-1]:.4g}; "
+            "enlarge branch_count to reach such poles, or branch_r0 (with branch_r1) to lower the bound")
     return int(admissible[0]) + 1
 
 

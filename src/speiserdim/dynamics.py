@@ -208,43 +208,49 @@ def _iterate_block(
 ) -> np.ndarray:
     """Classify a flat array of starting points; returns int32 codes.
 
-    The state holds only the live orbits: values, pixel indices, guard
-    counts and, in cycle mode, their last values as one (cycle_periods, k)
-    array, newest first, and their counts of revisiting steps in a row.
+    At most `_BLOCK_POINTS` orbits live at once, one per slot: after each step
+    the finished orbits leave and a cursor over the unstarted points refills
+    the free slots.  A slot holds an orbit's value, point index, own step and
+    guard counts and, in cycle mode, its last cycle_periods values (newest
+    first, inf until reached) and its count of revisiting steps in a row.
+    The step-0 test |z0 - fp| < tol runs on admission.
     """
-    z = np.array(points, dtype=complex).ravel()
-    codes = np.full(z.size, CODE_UNDETERMINED, dtype=np.int32)
-    idx = np.arange(z.size)
-    if fp is not None:
-        att = np.abs(z - fp.location) < tol
-        codes[att] = 0
-        z, idx = z[~att], idx[~att]
-    else:
-        hist = np.full((cycle_periods, z.size), np.inf + 0j)
-        stable = np.zeros(z.size, dtype=np.int16)
-    guards = np.zeros(z.size, dtype=np.int16)
+    def fresh(z0, idx):  # concatenate copies, so the zeros are not shared
+        zeros = np.zeros(z0.size, dtype=np.int32)
+        cycle = [np.full((z0.size, cycle_periods), np.inf + 0j), zeros] if fp is None else []
+        return [z0, idx, zeros, zeros, *cycle]
 
-    for step in range(1, max_iterations + 1):
-        if z.size == 0:
-            break
+    points = np.asarray(points, dtype=complex).ravel()
+    codes = np.full(points.size, CODE_UNDETERMINED, dtype=np.int32)
+    slots, cursor = fresh(points[:0], np.arange(0)), 0
+    while True:
+        while cursor < points.size and slots[0].size < _BLOCK_POINTS:
+            z0 = points[cursor:cursor + _BLOCK_POINTS - slots[0].size]
+            idx = np.arange(cursor, cursor + z0.size)
+            cursor += z0.size
+            if fp is not None and (att := np.abs(z0 - fp.location) < tol).any():
+                codes[idx[att]] = 0
+                z0, idx = z0[~att], idx[~att]
+            slots = [np.concatenate(pair) for pair in zip(slots, fresh(z0, idx))]
+        if slots[0].size == 0:
+            return codes
+        z, idx, steps, guards, *cycle = slots
         v, pole = eval_family_array(family, z)
+        steps += 1
         if fp is not None:
             att = np.abs(v - fp.location) < tol
         else:
-            hist = np.concatenate((z[None], hist[:-1]))
-            stable = np.where((np.abs(v - hist) < tol).any(axis=0), stable + 1, 0)
-            att = stable >= _CYCLE_STABLE_STEPS
+            cycle[0] = np.concatenate((z[:, None], cycle[0][:, :-1]), axis=1)
+            cycle[1] = np.where((np.abs(v[:, None] - cycle[0]) < tol).any(axis=1), cycle[1] + 1, 0)
+            att = cycle[1] >= _CYCLE_STABLE_STEPS
         att &= ~pole
         big = np.abs(v) > guard_modulus
         guards += big
         julia = pole | big & (guards >= guard_exit_limit)
         codes[idx[julia]] = CODE_JULIA
-        codes[idx[att]] = step  # att excludes poles and outranks a guard exit
-        keep = ~(julia | att)
-        z, idx, guards = v[keep], idx[keep], guards[keep]
-        if fp is None:
-            hist, stable = hist[:, keep], stable[keep]
-    return codes
+        codes[idx[att]] = steps[att]  # att excludes poles and outranks a guard exit
+        keep = ~(julia | att | (steps >= max_iterations))
+        slots = [a[keep] for a in (v, idx, steps, guards, *cycle)]
 
 
 @dataclass(frozen=True)
@@ -285,10 +291,11 @@ class RasterResult:
         return header.getvalue().encode("ascii") + img.astype(np.uint8).tobytes()
 
 
-# Representative points per _iterate_block call, to bound the orbit state
-# held at once: one live set for the whole grid ran criterion 07's render in
-# 2.8 s against 5.0 s but raised the sweep's peak RSS from 41 to about 50 MB.
-# The kernel rounds alike at every array size, so codes do not depend on it.
+# Orbit slots of _iterate_block, which bound the orbit state held at once.
+# 8,192 and 16,384 slots raised the default sweep's peak RSS by 0.7 and 1.9 MB
+# over 40.0 MB for a few percent of speed; the evaluator takes 68 ns a point at
+# 4,096 points, 94 at 16,384.  The kernel rounds alike at every array size, so
+# codes do not depend on the count.
 _BLOCK_POINTS = 4096
 
 def _mirrors(grid: GridSpec, family: MapFamily, fp: FixedPointData | None) -> tuple[bool, bool]:
@@ -335,10 +342,11 @@ def render(
     """Classify every pixel center, on the calling thread.
 
     Only the pixels that no mirror of `_mirrors` maps from another are
-    iterated (a quarter of a centred grid in fixed-point mode), in blocks
-    of `_BLOCK_POINTS`, and their codes are copied to their mirror images.
-    `threads` is accepted so that existing callers keep working; it has no
-    effect.
+    iterated (a quarter of a centred grid in fixed-point mode), in one
+    `_iterate_block` pass through its orbit slots, and their codes are
+    copied to their mirror images; a second pass redoes the column-mirror
+    pixels whose step-0 test differs.  `threads` is accepted so that
+    existing callers keep working; it has no effect.
     """
     if fp is None and cycle_periods < 1:
         raise ValueError("cycle_periods must be at least 1")
@@ -348,28 +356,16 @@ def render(
     rows = (n + 1) // 2 if row else n
     cols = (n + 1) // 2 if col else n
 
-    def classify(points):
-        return _iterate_block(
-            points,
-            family,
-            fp,
-            grid.max_iterations,
-            grid.attraction_tol,
-            guard_modulus,
-            guard_exit_limit,
-            cycle_periods,
-        )
-
-    reps = pts[:rows, :cols].ravel()
-    parts = [classify(reps[i:i + _BLOCK_POINTS]) for i in range(0, reps.size, _BLOCK_POINTS)]
+    args = (family, fp, grid.max_iterations, grid.attraction_tol,
+            guard_modulus, guard_exit_limit, cycle_periods)
     codes = np.empty((n, n), dtype=np.int32)
-    codes[:rows, :cols] = np.concatenate(parts).reshape(rows, cols)
+    codes[:rows, :cols] = _iterate_block(pts[:rows, :cols], *args).reshape(rows, cols)
     codes[:rows, cols:] = codes[:rows, :n - cols][:, ::-1]
     codes[rows:] = codes[:n - rows][::-1]
     if col and fp is not None:
         # the one test the column mirror does not carry: step 0, |z0 - fp| < tol
         redo = (np.abs(pts[:, cols:] - fp.location) < grid.attraction_tol) != (codes[:, cols:] == 0)
-        codes[:, cols:][redo] = classify(pts[:, cols:][redo])
+        codes[:, cols:][redo] = _iterate_block(pts[:, cols:][redo], *args)
     return RasterResult(grid=grid, family=family, codes=codes)
 
 

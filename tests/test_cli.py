@@ -314,6 +314,19 @@ def test_cli_dim_lower_rejects_a_base_index_past_branch_count(tmp_path, capsys):
     assert "branch_base_index" in err and "branch_count" in err
     assert not out.exists()
 
+
+def test_cli_dim_lower_names_the_modulus_a_base_pole_needs(tmp_path, capsys):
+    # G's |b| = e1^(-1/2) ~ 1.198 needs |a| > (1.198 / 0.24)^4 + 0.24 ~ 621,
+    # about 120,000 poles deep, where branch_count enumerates 44
+    cfg = write_config(tmp_path, "family = G\n")
+    out = tmp_path / "dim_lower.csv"
+    assert main(["dim-lower", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no admissible base pole among the 44 enumerated poles")
+    assert "|a| > (|b|/r0)^q + r0, about 621.4 at r0 = 0.24" in err
+    assert "branch_count" in err and "branch_r0" in err
+    assert not out.exists()
+
 def test_cli_sweep_row_after_a_zero_dimension_fails_in_place(tmp_path, monkeypatch):
     # a target inside one box at every scale has box dimension 0, where the
     # next row's continuity envelope is undefined

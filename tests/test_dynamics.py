@@ -26,6 +26,7 @@ from speiserdim import (
 from speiserdim.dynamics import (
     DEFAULT_GUARD_EXITS,
     DEFAULT_GUARD_MODULUS,
+    FixedPointData,
     _brentq,
     _iterate_block,
     basin_radius,
@@ -238,22 +239,80 @@ def test_symmetric_render_over_several_blocks(threads):
 
 
 # fixed-point mode with tol 0.05, so the column mirror's step-0 redo has
-# pixels near fp to redo, and FMax's cycle mode over column pairs with tol
-# 0.5, so that some of its orbits count as attracted
+# pixels near fp to redo, FMax's cycle mode over column pairs with tol 0.5,
+# so that some of its orbits count as attracted, and a budget of 4 steps that
+# hundreds of orbits exhaust, most of them admitted late at small block sizes
 @pytest.mark.parametrize("family, fp, grid, guard", [
     (FAM, FP, GridSpec(resolution=160, max_iterations=60, attraction_tol=0.05), (30.0, 2)),
     (MapFamily(tag="FMax"), None, GridSpec(resolution=96, max_iterations=120, attraction_tol=0.5),
      (DEFAULT_GUARD_MODULUS, DEFAULT_GUARD_EXITS)),
-], ids=["fixed-point", "cycle"])
+    (FAM, FP, GridSpec(resolution=64, max_iterations=4, attraction_tol=0.05), (30.0, 2)),
+], ids=["fixed-point", "cycle", "budget"])
 def test_render_codes_do_not_depend_on_the_block_size(monkeypatch, family, fp, grid, guard):
     if fp is not None:
         assert (np.abs(grid.pixel_centers() - fp.location) < grid.attraction_tol).any()
-    codes = []
-    for block in (1000, 4096, grid.resolution ** 2 + 1):
+    point_steps = [0]
+
+    def counted(family, z):
+        point_steps[0] += z.size
+        return eval_family_array(family, z)
+
+    monkeypatch.setattr("speiserdim.dynamics.eval_family_array", counted)
+    codes, steps = [], []
+    for block in (1, 7, 1000, 4096, grid.resolution ** 2 + 1):
         monkeypatch.setattr("speiserdim.dynamics._BLOCK_POINTS", block)
+        point_steps[0] = 0
         codes.append(render(grid, family, fp, guard_modulus=guard[0], guard_exit_limit=guard[1]).codes)
-    assert np.array_equal(codes[0], codes[1]) and np.array_equal(codes[0], codes[2])
+        steps.append(point_steps[0])
+    for other in codes[:-1]:
+        assert np.array_equal(other, codes[-1])
+    # every orbit runs its own steps, whenever it was admitted: an orbit that
+    # ended on a shared step budget would lower the total
+    assert steps == [steps[-1]] * len(steps)
     assert (codes[0] == CODE_JULIA).any() and (codes[0] >= 0).any()
+    if grid.max_iterations == 4:
+        assert (codes[0] == CODE_UNDETERMINED).sum() > 100 and (codes[0] == 4).any()
+
+
+def test_render_refills_its_orbit_slots(monkeypatch):
+    # each pass makes one call per _BLOCK_POINTS point-steps while points wait,
+    # and at most one per step of its longest orbit after that
+    passes = []
+
+    def pass_spy(points, *args):
+        passes.append([])
+        return _iterate_block(points, *args)
+
+    def eval_spy(family, z):
+        passes[-1].append(z.size)
+        return eval_family_array(family, z)
+
+    monkeypatch.setattr("speiserdim.dynamics._iterate_block", pass_spy)
+    monkeypatch.setattr("speiserdim.dynamics.eval_family_array", eval_spy)
+    grid = GridSpec(center=0j, half_width=2.0, resolution=131, max_iterations=30)
+    runs = []
+    for block in (grid.resolution ** 2 + 1, 4096):
+        monkeypatch.setattr("speiserdim.dynamics._BLOCK_POINTS", block)
+        passes.clear()
+        render(grid, FAM, FP, guard_modulus=30.0, guard_exit_limit=2)
+        runs.append(list(passes))
+    # with a slot for every point, all orbits start at once and the call count
+    # is the longest orbit's step count
+    whole, refilled = runs
+    assert len(refilled) == len(whole) == 2
+    assert whole[0][0] > 4096  # more representatives than slots
+    for one_set, sizes in zip(whole, refilled):
+        assert sum(sizes) == sum(one_set)
+        assert len(sizes) <= -(-sum(sizes) // 4096) + len(one_set)
+
+
+def test_guard_exits_count_past_the_int16_range():
+    # every step is a guard exit, so the orbit is Julia at step 33,000; an int16
+    # count wraps at 32,767 and never gets there
+    fp = FixedPointData(location=100.0, multiplier=0.0, lam=0.75)
+    codes = _iterate_block(np.array([0.5j]), MapFamily(tag="FLambda", lam=0.75), fp, 33000, 1e-300,
+                           0.0, 33000, 3)
+    assert codes[0] == CODE_JULIA
 
 
 def test_attraction_outranks_a_guard_exit_in_the_same_step():
