@@ -16,7 +16,6 @@ from .families import (
     PoleData,
     PoleRangeError,
     enumerate_poles,
-    eval_deriv,
     eval_deriv_array,
     eval_family,
     eval_family_array,
@@ -37,6 +36,7 @@ from .dynamics import (
     render,
 )
 from .dimension import (
+    BasePoleError,
     ContractionViolationError,
     DegenerateMultiplierError,
     DegenerateSystemError,

@@ -22,6 +22,7 @@ from .config import (
     validate_config,
 )
 from .dimension import (
+    BasePoleError,
     ContractionViolationError,
     DegenerateMultiplierError,
     DegenerateSystemError,
@@ -71,7 +72,7 @@ _COMMAND_ERRORS = (
     InsufficientPolesError,
     UndefinedDimensionError,
     DegenerateMultiplierError,
-    ValueError,
+    BasePoleError,
 )
 
 # the domain failures of one sweep row; any other error ends the sweep

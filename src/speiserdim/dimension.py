@@ -61,6 +61,10 @@ class DegenerateMultiplierError(ValueError):
     """Multiplier magnitude 0, 1, or above 1: no dilatation bound applies."""
 
 
+class BasePoleError(ValueError):
+    """No admissible base pole, or a base index outside 1 <= M < branch_count."""
+
+
 @dataclass(frozen=True)
 class IFSBranch:
     index: int
@@ -189,7 +193,7 @@ def auto_base_index(a: np.ndarray, b: np.ndarray, q: int, r0: float) -> int:
     modulus, need = np.hypot(a.real, a.imag), (b / r0) ** q + r0
     admissible = np.flatnonzero(modulus > need)
     if admissible.size == 0:
-        raise ValueError(
+        raise BasePoleError(
             f"no admissible base pole among the {a.size} enumerated poles: one needs |a| > (|b|/r0)^q + r0, "
             f"about {need[-1]:.4g} at r0 = {r0:g}, and the outermost has |a| = {modulus[-1]:.4g}; "
             "enlarge branch_count to reach such poles, or branch_r0 (with branch_r1) to lower the bound")
@@ -229,7 +233,7 @@ def estimate_branch_contractions(
     if M is None:
         M = auto_base_index(a, np.hypot(b.real, b.imag), q, r0)
     if not 1 <= M < N:
-        raise ValueError(f"base index {M} must satisfy 1 <= M < N = {N}")
+        raise BasePoleError(f"base index {M} must satisfy 1 <= M < N = {N}, where N is branch_count")
 
     a_base, b_base = complex(a[M - 1]), complex(b[M - 1])
     theta = 0.1357 + 2.0 * PI * np.arange(boundary_samples) / boundary_samples

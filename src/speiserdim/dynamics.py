@@ -29,7 +29,7 @@ from io import StringIO
 
 import numpy as np
 
-from .families import MapFamily, eval_deriv, eval_family, eval_family_array
+from .families import MapFamily, eval_deriv_array, eval_family, eval_family_array
 
 CODE_JULIA = -1
 CODE_UNDETERMINED = -2
@@ -47,7 +47,7 @@ _CYCLE_STABLE_STEPS = 5
 
 
 class NoAttractingFixedPointError(RuntimeError):
-    """No sign change of f(x) - x was found on the scanned interval."""
+    """No sign change of f(x) - x on the bracket, a pole inside it, or a repelling root."""
 
 
 class LinearizationDomainError(RuntimeError):
@@ -107,93 +107,47 @@ def _axis(start: float, stop: float, n: int, centred: bool) -> np.ndarray:
     return a
 
 
-def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
-    """Brent-Dekker root of f on the sign-changing bracket [a, b].
-
-    Follows scipy.optimize.brentq (Brent 1973, ch. 4) step for step, so the
-    roots, and every output that depends on them, match it bitwise.
-    """
-    xpre, xcur = a, b
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(100):
-        if (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis  # bisect
-        else:
-            spre = scur = sbis  # bisect
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError("root finder did not converge in 100 iterations")
-
-
 def find_attracting_fixed_point(lam: float, m: int, p: int, eta: float) -> FixedPointData:
-    """Root of f(x) = x on (0, eta) by bracketing, with its multiplier.
+    """Root of f(x) = x on (0, eta) by bracketed Newton, with its multiplier f'(x).
 
-    f(0) = eta > 0 guarantees the left bracket; if f(x) - x never changes
-    sign on the interval the search fails loudly with the scanned range.
+    The bracket is [1e-12, eta (1 - 1e-12)], across which gap(x) = f(x) - x
+    must change sign (f(0) = eta > 0).  Each pass takes f and f' at one point
+    from one eval_deriv_array call and moves the bracket end of gap's sign
+    there.  From the right end, the next point is the Newton point
+    x - gap / (f' - 1), or the bracket's midpoint when that point falls
+    outside the bracket (ends included) or its step is over half the last
+    step, so Newton cannot cycle between the ends, as it does near repelling
+    roots.  The search stops after a step of at most 1e-15 + 8.9e-16 |x|
+    (brentq's xtol and rtol); the multiplier is f' from the pass at that x.
     """
     family = MapFamily(tag="FLambda", lam=lam, m=m, p=p, eta=eta)
 
-    def gap(x: float) -> float:
-        v = eval_family(family, complex(x))
-        if v.at_infinity:
-            raise NoAttractingFixedPointError(f"map is infinite at x={x!r} inside the scan interval")
-        return v.value.real - x
+    def gap(x: float) -> tuple[float, float]:
+        v, d, pole = eval_deriv_array(family, [x])
+        if pole[0]:
+            raise NoAttractingFixedPointError(f"map is infinite at x={x!r} inside the bracket")
+        return float(v[0].real) - x, float(d[0].real)
 
     lo, hi = 1e-12, eta * (1.0 - 1e-12)
-    a, b = lo, hi
-    if gap(a) * gap(b) > 0:
-        # walk a grid for a bracket before giving up
-        xs = np.linspace(lo, hi, 65)
-        vals = [gap(float(x)) for x in xs]
-        bracket = None
-        for i in range(len(xs) - 1):
-            if vals[i] * vals[i + 1] <= 0:
-                bracket = (float(xs[i]), float(xs[i + 1]))
-                break
-        if bracket is None:
-            raise NoAttractingFixedPointError(
-                f"no attracting fixed point found: f(x) - x has no sign change on ({lo:g}, {hi:g})"
-            )
-        a, b = bracket
-    root = _brentq(gap, a, b, xtol=1e-15, rtol=8.9e-16)
-    deriv = eval_deriv(family, complex(root))
-    if deriv.at_infinity:
-        raise NoAttractingFixedPointError(f"derivative is infinite at the fixed point {root!r}")
-    mult = deriv.value.real
-    if not abs(mult) < 1.0:
+    (g_lo, _), (g, d) = gap(lo), gap(hi)
+    if g_lo * g > 0:
         raise NoAttractingFixedPointError(
-            f"fixed point {root!r} is not attracting: multiplier {mult!r}"
-        )
-    return FixedPointData(location=root, multiplier=mult, lam=lam)
+            f"no attracting fixed point found: f(x) - x has no sign change on ({lo:g}, {hi:g})")
+    x, step = hi, hi - lo
+    for _ in range(100):
+        lo, hi = (x, hi) if (g < 0.0) == (g_lo < 0.0) else (lo, x)
+        nxt = x - g / (d - 1.0) if d != 1.0 else math.nan
+        if not (lo <= nxt <= hi and 2.0 * abs(nxt - x) <= abs(step)):
+            nxt = 0.5 * (lo + hi)
+        step, x = nxt - x, nxt
+        g, d = gap(x)
+        if g == 0.0 or abs(step) <= 1e-15 + 8.9e-16 * abs(x):
+            break
+    else:
+        raise RuntimeError("fixed-point search did not converge in 100 passes")
+    if not abs(d) < 1.0:
+        raise NoAttractingFixedPointError(f"fixed point {x!r} is not attracting: multiplier {d!r}")
+    return FixedPointData(location=x, multiplier=d, lam=lam)
 
 
 def _iterate_block(

@@ -216,15 +216,7 @@ def eval_deriv_array(family: MapFamily, z) -> tuple[np.ndarray, np.ndarray, np.n
     return values, derivs, value_pole | deriv_pole
 
 
-def eval_deriv(family: MapFamily, z: complex) -> ExtendedComplex:
-    """f'(z) as a size-1 call into eval_deriv_array."""
-    _, derivs, pole = eval_deriv_array(family, [complex(z)])
-    if pole[0]:
-        return INFINITY
-    return ExtendedComplex(complex(derivs[0]))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PoleData:
     """One pole: location a, multiplicity q, and |b| with f(z) ~ (b/(z-a))^q."""
 

@@ -277,14 +277,21 @@ def test_cli_sweep_raises_program_errors(tmp_path, monkeypatch):
     assert not out.exists()
 
 
-def test_cli_program_errors_propagate_from_main(monkeypatch):
-    # exit 1 is for the named domain errors; an arithmetic bug keeps its traceback
+@pytest.mark.parametrize("error", [ZeroDivisionError("float division by zero"), ValueError("math domain error")])
+def test_cli_program_errors_propagate_from_main(monkeypatch, error):
+    # exit 1 is for the named domain errors; a bug, even a plain ValueError, keeps its traceback
     def broken(*args):
-        raise ZeroDivisionError("float division by zero")
+        raise error
 
     monkeypatch.setitem(cli._COMMANDS, "verify", broken)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(type(error)):
         main(["verify"])
+
+
+def test_cli_exit_1_errors_are_named_speiserdim_errors():
+    for error in cli._COMMAND_ERRORS:
+        assert isinstance(error, type) and issubclass(error, Exception)
+        assert error.__module__.startswith("speiserdim."), error
 
 
 @pytest.mark.parametrize("text, key", [
@@ -312,6 +319,17 @@ def test_cli_dim_lower_rejects_a_base_index_past_branch_count(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "branch_base_index" in err and "branch_count" in err
+    assert not out.exists()
+
+
+def test_cli_dim_lower_names_branch_count_when_the_base_pole_lies_past_it(tmp_path, capsys):
+    # the default FLambda's first admissible base pole is number 27
+    cfg = write_config(tmp_path, "branch_count = 20\n")
+    out = tmp_path / "dim_lower.csv"
+    assert main(["dim-lower", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: base index 27 must satisfy 1 <= M < N = 20")
+    assert "branch_count" in err
     assert not out.exists()
 
 

@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import linregress
 
 from speiserdim import (
+    BasePoleError,
     ContractionViolationError,
     DegenerateMultiplierError,
     DegenerateSystemError,
@@ -136,7 +137,7 @@ def test_measured_contraction_argument_guards():
         estimate_branch_contractions(fam, None, 10, 0.5, 0.9)
     with pytest.raises(ValueError, match="at least 2"):
         estimate_branch_contractions(fam, None, 1, 0.2, 0.9)
-    with pytest.raises(ValueError, match="base index 0"):
+    with pytest.raises(BasePoleError, match="base index 0"):
         estimate_branch_contractions(fam, 0, 5, 0.2, 0.9)
 
 
@@ -144,7 +145,7 @@ def test_auto_base_index_picks_first_admissible_pole():
     locations = np.arange(1, 31) + 0j
     # admissibility needs |a| > (|b|/r0)**q + r0 = 2.5
     assert auto_base_index(locations, np.ones(30), 1, 0.5) == 3
-    with pytest.raises(ValueError, match="enlarge"):
+    with pytest.raises(BasePoleError, match="enlarge"):
         auto_base_index(np.ones(5, dtype=complex), np.ones(5), 1, 0.5)
 
 

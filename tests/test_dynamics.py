@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from speiserdim import dynamics
 from speiserdim import (
     CODE_JULIA,
     CODE_UNDETERMINED,
@@ -14,7 +15,7 @@ from speiserdim import (
     LinearizationDomainError,
     MapFamily,
     NoAttractingFixedPointError,
-    eval_deriv,
+    eval_deriv_array,
     eval_family,
     eval_family_array,
     find_attracting_fixed_point,
@@ -27,7 +28,6 @@ from speiserdim.dynamics import (
     DEFAULT_GUARD_EXITS,
     DEFAULT_GUARD_MODULUS,
     FixedPointData,
-    _brentq,
     _iterate_block,
     basin_radius,
 )
@@ -54,7 +54,7 @@ def test_multiplier_is_chain_rule_through_the_strip_family():
     hm = MapFamily(tag="Hm", m=9, p=1, eta=0.3)
     lam = 0.85
     fp = find_attracting_fixed_point(lam, 9, 1, 0.3)
-    want = lam * eval_deriv(hm, complex(lam * fp.location)).value.real
+    want = lam * eval_deriv_array(hm, [lam * fp.location])[1][0].real
     assert fp.multiplier == pytest.approx(want, rel=1e-12)
 
 
@@ -356,26 +356,6 @@ SWEEP_LAMBDAS = sorted({float(x) for x in np.concatenate([
 ])})
 
 
-@pytest.mark.parametrize("lam", SWEEP_LAMBDAS)
-def test_root_finder_matches_scipy_brentq_bitwise(lam):
-    family = MapFamily(tag="FLambda", lam=lam, m=9, p=1, eta=0.3)
-
-    def gap(x):
-        return eval_family(family, complex(x)).value.real - x
-
-    a, b = 1e-12, 0.3 * (1.0 - 1e-12)
-    want = brentq(gap, a, b, xtol=1e-15, rtol=8.9e-16)
-    assert _brentq(gap, a, b, xtol=1e-15, rtol=8.9e-16) == want
-    assert find_attracting_fixed_point(lam, 9, 1, 0.3).location == want
-
-
-def test_root_finder_endpoints_and_bad_bracket():
-    assert _brentq(lambda x: x - 1.0, 1.0, 2.0, 1e-12, 1e-15) == 1.0
-    assert _brentq(lambda x: x - 2.0, 1.0, 2.0, 1e-12, 1e-15) == 2.0
-    with pytest.raises(ValueError, match="different signs"):
-        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 1e-15)
-
-
 # (p, eta, m) and lambdas with an attracting fixed point; the last two
 # have |multiplier| 0.64-0.89, where the orbit of 0 nears fp slowly
 BASIN_PARAMS = [
@@ -386,6 +366,70 @@ BASIN_PARAMS = [
     (3, 0.6, 5, (0.45, 0.5, 0.55, 0.6)),
     (2, 0.8, 3, (0.45, 0.5, 0.55)),
 ]
+
+
+@pytest.mark.parametrize("p, eta, m, lam", [
+    (p, eta, m, lam) for p, eta, m, lams in BASIN_PARAMS for lam in lams
+])
+def test_fixed_point_agrees_with_scipy_brentq(p, eta, m, lam):
+    family = MapFamily(tag="FLambda", lam=lam, m=m, p=p, eta=eta)
+
+    def gap(x):
+        return eval_family(family, complex(x)).value.real - x
+
+    want = brentq(gap, 1e-12, eta * (1.0 - 1e-12), xtol=1e-15, rtol=8.9e-16)
+    fp = find_attracting_fixed_point(lam, m, p, eta)
+    assert abs(fp.location - want) <= 1e-15 + 8.9e-16 * abs(want)
+    _, derivs, pole = eval_deriv_array(family, [fp.location])
+    assert not pole[0] and fp.multiplier == derivs[0].real
+
+
+def test_fixed_point_search_takes_at_most_seven_passes(monkeypatch):
+    passes = []
+
+    def counted(family, z):
+        passes.append(z)
+        return eval_deriv_array(family, z)
+
+    monkeypatch.setattr(dynamics, "eval_deriv_array", counted)
+    for lam in np.linspace(0.75, 1.0, 8):  # the default sweep
+        passes.clear()
+        find_attracting_fixed_point(float(lam), 9, 1, 0.3)
+        assert 2 <= len(passes) <= 7
+
+
+def _fake_map(monkeypatch, f, df):
+    """Make the fixed-point search see the real map x -> f(x) with derivative df."""
+    def fake(family, z):
+        x = np.asarray(z, dtype=complex).real
+        return f(x) + 0j, df(x) + 0j, np.zeros(x.shape, dtype=bool)
+
+    monkeypatch.setattr(dynamics, "eval_deriv_array", fake)
+
+
+def test_fixed_point_search_needs_a_sign_change(monkeypatch):
+    _fake_map(monkeypatch, lambda x: x + 1.0, np.ones_like)
+    with pytest.raises(NoAttractingFixedPointError, match="no sign change on"):
+        find_attracting_fixed_point(1.0, 9, 1, 0.3)
+
+
+@pytest.mark.parametrize("lam, m, p, eta", [(0.83, 1, 2, 1.2), (0.8, 1, 3, 1.2), (0.95, 3, 3, 1.2)])
+def test_fixed_point_search_rejects_a_repelling_root(lam, m, p, eta):
+    # multipliers -1.96 to -2.28: Newton from the right end alone cycles
+    # between the bracket ends here, where gap' is near -1 at both
+    with pytest.raises(NoAttractingFixedPointError, match="is not attracting: multiplier -"):
+        find_attracting_fixed_point(lam, m, p, eta)
+
+
+def test_fixed_point_search_bisects_when_newton_leaves_the_bracket(monkeypatch):
+    # f(x) = x + c tanh((r - x)/w) is flat far from r, so Newton from the
+    # right end jumps out of the bracket; f'(r) = 1 - c/w = -0.5
+    r, c, w = 0.1, 0.015, 0.01
+    _fake_map(monkeypatch, lambda x: x + c * np.tanh((r - x) / w),
+              lambda x: 1.0 - c / w / np.cosh((r - x) / w) ** 2)
+    fp = find_attracting_fixed_point(1.0, 9, 1, 0.3)
+    assert abs(fp.location - r) <= 1e-15 + 8.9e-16 * r
+    assert fp.multiplier == pytest.approx(-0.5, abs=1e-12)
 
 
 @pytest.mark.parametrize("p, eta, m, lams", BASIN_PARAMS,
