@@ -30,7 +30,6 @@ from .families import (
     MapFamily,
     PoleData,
     _linear_fit,
-    _pole_table,
     _poles_up_to_count,
     eval_deriv_array,
     # not called here: perfbench's tracer wraps this name to count the
@@ -134,12 +133,15 @@ def solve_bowen(branch_set: IFSBranchSet) -> float:
         hi *= 2.0
         if hi > 1e6:
             raise ContractionViolationError("contraction sum does not drop below 1")
-    while hi - lo > 1e-12:
+    return _bisect(lambda t: gap(t) > 0.0, lo, hi, 1e-12)
+
+
+def _bisect(above, lo: float, hi: float, xtol: float) -> float:
+    """Halve [lo, hi] to width xtol, moving lo to midpoints where above(t) holds and
+    hi to the others, and return the last midpoint."""
+    while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
     return 0.5 * (lo + hi)
 
 
@@ -149,9 +151,7 @@ def synthetic_lattice_branches(count: int, q: int = 4, scale: float = 2.0) -> IF
     would be too slow."""
     if count < 2:
         raise ValueError("count must be at least 2")
-    radius = PI * math.sqrt(count / PI) * 1.2 + 2.0 * PI
-    while (locs := _pole_table(MapFamily(tag="G"), radius)[0]).size < count:
-        radius *= 1.3
+    locs = _poles_up_to_count(MapFamily(tag="G"), count)[0]
     expo = (q + 1.0) / q
     branches = tuple(
         IFSBranch(index=i + 1, contraction_lower=abs(a) ** (-expo) / scale, pole_location=a)
@@ -287,18 +287,6 @@ def _increment_ratio(terms: np.ndarray) -> float:
 _RATIO_MARGIN = 0.9
 
 
-def _bisect_ratio(bases: np.ndarray, level: float, t_lo: float, t_hi: float) -> float:
-    """t with increment-ratio(bases ** t) = level; the ratio decreases in t."""
-    lo, hi = t_lo, t_hi
-    while hi - lo > 1e-4:
-        mid = 0.5 * (lo + hi)
-        if _increment_ratio(bases ** mid) > level:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def series_exponent(poles: list[PoleData], t_hi: float = 4.0) -> DimensionEstimate:
     """Infimum-of-convergence exponent of the pole series, with margins.
 
@@ -314,21 +302,18 @@ def series_exponent(poles: list[PoleData], t_hi: float = 4.0) -> DimensionEstima
     r_min = _increment_ratio(bases ** t_min)
     r_max = _increment_ratio(bases ** t_hi)
 
+    def ratio_root(level: float) -> float:  # the ratio decreases in t
+        return _bisect(lambda t: _increment_ratio(bases ** t) > level, t_min, t_hi, 1e-4)
+
     if r_min <= 1.0:
         value = 0.0 if r_min < 1.0 else t_min
     elif r_max >= 1.0:
         value = t_hi
     else:
-        value = _bisect_ratio(bases, 1.0, t_min, t_hi)
+        value = ratio_root(1.0)
 
-    if r_min <= 1.0 / _RATIO_MARGIN:
-        lo = 0.0
-    else:
-        lo = _bisect_ratio(bases, 1.0 / _RATIO_MARGIN, t_min, t_hi)
-    if r_max >= _RATIO_MARGIN:
-        hi = t_hi
-    else:
-        hi = _bisect_ratio(bases, _RATIO_MARGIN, t_min, t_hi)
+    lo = 0.0 if r_min <= 1.0 / _RATIO_MARGIN else ratio_root(1.0 / _RATIO_MARGIN)
+    hi = t_hi if r_max >= _RATIO_MARGIN else ratio_root(_RATIO_MARGIN)
 
     value = _clamp_dim(value)
     lo = min(_clamp_dim(lo), value)

@@ -108,12 +108,13 @@ def _axis(start: float, stop: float, n: int, centred: bool) -> np.ndarray:
 
 
 def find_attracting_fixed_point(lam: float, m: int, p: int, eta: float) -> FixedPointData:
-    """Root of f(x) = x on (0, eta) by bracketed Newton, with its multiplier f'(x).
+    """Root of f(x) = x on [0, eta] by bracketed Newton, with its multiplier f'(x).
 
-    The bracket is [1e-12, eta (1 - 1e-12)], across which gap(x) = f(x) - x
-    must change sign (f(0) = eta > 0).  Each pass takes f and f' at one point
-    from one eval_deriv_array call and moves the bracket end of gap's sign
-    there.  From the right end, the next point is the Newton point
+    The bracket is [0, eta], across which gap(x) = f(x) - x must change sign:
+    gap(0) = f(0) = eta > 0, and gap(eta) <= 0 holds for a root however close
+    to eta (about 2.8 eta^3 below it for tiny eta).  Each pass takes f and f'
+    at one point from one eval_deriv_array call and moves the bracket end of
+    gap's sign there.  From the right end, the next point is the Newton point
     x - gap / (f' - 1), or the bracket's midpoint when that point falls
     outside the bracket (ends included) or its step is over half the last
     step, so Newton cannot cycle between the ends, as it does near repelling
@@ -128,7 +129,7 @@ def find_attracting_fixed_point(lam: float, m: int, p: int, eta: float) -> Fixed
             raise NoAttractingFixedPointError(f"map is infinite at x={x!r} inside the bracket")
         return float(v[0].real) - x, float(d[0].real)
 
-    lo, hi = 1e-12, eta * (1.0 - 1e-12)
+    lo, hi = 0.0, eta
     (g_lo, _), (g, d) = gap(lo), gap(hi)
     if g_lo * g > 0:
         raise NoAttractingFixedPointError(
@@ -167,7 +168,8 @@ def _iterate_block(
     the free slots.  A slot holds an orbit's value, point index, own step and
     guard counts and, in cycle mode, its last cycle_periods values (newest
     first, inf until reached) and its count of revisiting steps in a row.
-    The step-0 test |z0 - fp| < tol runs on admission.
+    Classification starts at step 1, so no code is 0: `render` applies the
+    step-0 test |z0 - fp| < tol.
     """
     def fresh(z0, idx):  # concatenate copies, so the zeros are not shared
         zeros = np.zeros(z0.size, dtype=np.int32)
@@ -178,13 +180,10 @@ def _iterate_block(
     codes = np.full(points.size, CODE_UNDETERMINED, dtype=np.int32)
     slots, cursor = fresh(points[:0], np.arange(0)), 0
     while True:
-        while cursor < points.size and slots[0].size < _BLOCK_POINTS:
+        if cursor < points.size and slots[0].size < _BLOCK_POINTS:
             z0 = points[cursor:cursor + _BLOCK_POINTS - slots[0].size]
             idx = np.arange(cursor, cursor + z0.size)
             cursor += z0.size
-            if fp is not None and (att := np.abs(z0 - fp.location) < tol).any():
-                codes[idx[att]] = 0
-                z0, idx = z0[~att], idx[~att]
             slots = [np.concatenate(pair) for pair in zip(slots, fresh(z0, idx))]
         if slots[0].size == 0:
             return codes
@@ -270,9 +269,10 @@ def _mirrors(grid: GridSpec, family: MapFamily, fp: FixedPointData | None) -> tu
       * |-conj v - fp| != |v - fp|: FMax with a fixed point gets no mirror;
       * |v_k - z0| needs the mirror to equal tau, since |v_k + z0| !=
         |v_k - z0|: in cycle mode G, H, Hm and FLambda keep only the row
-        mirror and FMax only the column mirror;
-      * the step-0 test |z0 - fp| < tol is not carried by the column mirror;
-        render re-iterates the mirrored pixels where it disagrees.
+        mirror and FMax only the column mirror.
+
+    The step-0 test |z0 - fp| < tol is not carried by the column mirror, so
+    render applies it to every pixel after the codes are copied.
 
       family            fixed point   cycle
       G, H, Hm, FLambda row, column   row
@@ -298,9 +298,9 @@ def render(
     Only the pixels that no mirror of `_mirrors` maps from another are
     iterated (a quarter of a centred grid in fixed-point mode), in one
     `_iterate_block` pass through its orbit slots, and their codes are
-    copied to their mirror images; a second pass redoes the column-mirror
-    pixels whose step-0 test differs.  `threads` is accepted so that
-    existing callers keep working; it has no effect.
+    copied to their mirror images.  Then the pixels with |z0 - fp| < tol
+    get code 0; only rows with |Im z0| < tol can hold one.  `threads` is
+    accepted so that existing callers keep working; it has no effect.
     """
     if fp is None and cycle_periods < 1:
         raise ValueError("cycle_periods must be at least 1")
@@ -309,17 +309,16 @@ def render(
     row, col = _mirrors(grid, family, fp)
     rows = (n + 1) // 2 if row else n
     cols = (n + 1) // 2 if col else n
+    tol = grid.attraction_tol
 
-    args = (family, fp, grid.max_iterations, grid.attraction_tol,
-            guard_modulus, guard_exit_limit, cycle_periods)
     codes = np.empty((n, n), dtype=np.int32)
-    codes[:rows, :cols] = _iterate_block(pts[:rows, :cols], *args).reshape(rows, cols)
+    codes[:rows, :cols] = _iterate_block(pts[:rows, :cols], family, fp, grid.max_iterations, tol,
+                                         guard_modulus, guard_exit_limit, cycle_periods).reshape(rows, cols)
     codes[:rows, cols:] = codes[:rows, :n - cols][:, ::-1]
     codes[rows:] = codes[:n - rows][::-1]
-    if col and fp is not None:
-        # the one test the column mirror does not carry: step 0, |z0 - fp| < tol
-        redo = (np.abs(pts[:, cols:] - fp.location) < grid.attraction_tol) != (codes[:, cols:] == 0)
-        codes[:, cols:][redo] = _iterate_block(pts[:, cols:][redo], *args)
+    if fp is not None:
+        band = np.abs(pts[:, 0].imag) < tol
+        codes[band] = np.where(np.abs(pts[band] - fp.location) < tol, 0, codes[band])
     return RasterResult(grid=grid, family=family, codes=codes)
 
 

@@ -37,7 +37,9 @@ FP = find_attracting_fixed_point(1.0, 9, 1, 0.3)
 
 
 def classify_point(z, tol=1e-6):
-    """Code of one starting point, from the block iterator that render uses."""
+    """Code of one starting point: render's step-0 rule, then the block iterator it uses."""
+    if np.abs(complex(z) - FP.location) < tol:
+        return 0
     codes = _iterate_block(np.asarray([complex(z)]), FAM, FP, 500, tol,
                            DEFAULT_GUARD_MODULUS, DEFAULT_GUARD_EXITS, 3)
     return int(codes[0])
@@ -82,6 +84,13 @@ def test_no_attracting_fixed_point_error():
 
 def test_classify_fixed_point_is_step_zero():
     assert classify_point(complex(FP.location)) == 0
+
+
+def test_block_iterator_codes_a_start_at_the_fixed_point_as_one():
+    # the step-0 test is render's: the iterator classifies from step 1 on
+    codes = _iterate_block(np.array([complex(FP.location)]), FAM, FP, 500, 1e-6,
+                           DEFAULT_GUARD_MODULUS, DEFAULT_GUARD_EXITS, 3)
+    assert codes[0] == 1
 
 
 def test_classify_real_points_attract():
@@ -184,10 +193,14 @@ def test_pixel_centers_mirror_exactly_on_centred_axes(n):
 
 
 def _full_grid_codes(grid, family, fp, guard, cycle_periods=3):
-    """Every pixel iterated, in one call, at the same centres as render."""
-    codes = _iterate_block(grid.pixel_centers(), family, fp, grid.max_iterations,
+    """Every pixel iterated, in one call, at the same centres as render, then step 0 tested."""
+    pts = grid.pixel_centers()
+    codes = _iterate_block(pts, family, fp, grid.max_iterations,
                            grid.attraction_tol, guard[0], guard[1], cycle_periods)
-    return codes.reshape(grid.resolution, grid.resolution)
+    codes = codes.reshape(grid.resolution, grid.resolution)
+    if fp is not None:
+        codes[np.abs(pts - fp.location) < grid.attraction_tol] = 0
+    return codes
 
 
 HM = MapFamily(tag="Hm", m=9, p=1, eta=0.3)  # FLambda at lam = 1, so FP is its fixed point too
@@ -238,8 +251,8 @@ def test_symmetric_render_over_several_blocks(threads):
     assert np.array_equal(raster.codes, _full_grid_codes(grid, FAM, FP, guard))
 
 
-# fixed-point mode with tol 0.05, so the column mirror's step-0 redo has
-# pixels near fp to redo, FMax's cycle mode over column pairs with tol 0.5,
+# fixed-point mode with tol 0.05, so that some pixels near fp get code 0
+# at step 0, FMax's cycle mode over column pairs with tol 0.5,
 # so that some of its orbits count as attracted, and a budget of 4 steps that
 # hundreds of orbits exhaust, most of them admitted late at small block sizes
 @pytest.mark.parametrize("family, fp, grid, guard", [
@@ -275,8 +288,8 @@ def test_render_codes_do_not_depend_on_the_block_size(monkeypatch, family, fp, g
 
 
 def test_render_refills_its_orbit_slots(monkeypatch):
-    # each pass makes one call per _BLOCK_POINTS point-steps while points wait,
-    # and at most one per step of its longest orbit after that
+    # the one pass makes one call per _BLOCK_POINTS point-steps while points
+    # wait, and at most one per step of its longest orbit after that
     passes = []
 
     def pass_spy(points, *args):
@@ -299,7 +312,7 @@ def test_render_refills_its_orbit_slots(monkeypatch):
     # with a slot for every point, all orbits start at once and the call count
     # is the longest orbit's step count
     whole, refilled = runs
-    assert len(refilled) == len(whole) == 2
+    assert len(refilled) == len(whole) == 1
     assert whole[0][0] > 4096  # more representatives than slots
     for one_set, sizes in zip(whole, refilled):
         assert sum(sizes) == sum(one_set)
@@ -377,11 +390,21 @@ def test_fixed_point_agrees_with_scipy_brentq(p, eta, m, lam):
     def gap(x):
         return eval_family(family, complex(x)).value.real - x
 
-    want = brentq(gap, 1e-12, eta * (1.0 - 1e-12), xtol=1e-15, rtol=8.9e-16)
+    want = brentq(gap, 0.0, eta, xtol=1e-15, rtol=8.9e-16)
     fp = find_attracting_fixed_point(lam, m, p, eta)
     assert abs(fp.location - want) <= 1e-15 + 8.9e-16 * abs(want)
     _, derivs, pole = eval_deriv_array(family, [fp.location])
     assert not pole[0] and fp.multiplier == derivs[0].real
+
+
+@pytest.mark.parametrize("eta", [1e-13, 1e-10, 5e-7])
+def test_fixed_point_search_finds_the_root_for_tiny_eta(eta):
+    # the root lies about 2.8 eta^3 below eta, so the bracket must reach eta itself
+    family = MapFamily(tag="FLambda", lam=1.0, m=9, p=1, eta=eta)
+    fp = find_attracting_fixed_point(1.0, 9, 1, eta)
+    assert 0.0 < fp.location <= eta
+    gap = eval_family(family, complex(fp.location)).value.real - fp.location
+    assert abs(gap) <= 8.9e-16 * eta
 
 
 def test_fixed_point_search_takes_at_most_seven_passes(monkeypatch):
