@@ -12,12 +12,13 @@ Conventions fixed here and relied on everywhere else:
 e1 is not hard-coded: it comes from g2 = 60*G4 = 4*e1^2, with G4 the
 weight-4 lattice sum (`eisenstein_g4`), whose rows collapse to closed forms;
 sqrt(15*G4) is the correctly rounded lemniscatic constant
-Gamma(1/4)^4 / (8 pi^3).  Direct lattice summation (`wp_direct_sum`) is kept
-as an independent oracle for `verify` and the tests, never on the
-production path.  Production evaluation reduces the argument to the
-fundamental cell and sums the Laurent expansion about the nearest lattice
-point; the expansion order is chosen so the analytic tail bound stays below
-1e-10 at the corner of the cell (the worst case |z| = pi/sqrt(2)).
+Gamma(1/4)^4 / (8 pi^3).  Direct lattice summation (`wp_direct_sum`, one
+term per quarter-turn orbit {w, i*w, -w, -i*w}) is the independent oracle of
+`verify` and the tests, never on the production path.  Production evaluation
+reduces the argument to the fundamental cell and sums the Laurent expansion
+about the nearest lattice point; the expansion order is chosen so the
+analytic tail bound stays below 1e-10 at the corner of the cell (the worst
+case |z| = pi/sqrt(2)).
 
 Within POLE_CUTOFF of a lattice point the value is dominated by the leading
 Laurent term 1/z^2 beyond any useful precision and is reported as infinite.
@@ -86,37 +87,32 @@ def direct_sum_radius(z_modulus: float, tol: float) -> float:
 def wp_direct_sum(z: complex, tol: float = 1e-9) -> complex:
     """Evaluate wp by direct truncated lattice summation with tail bound < tol.
 
-    Every lattice point with |w| <= R enters the sum
-        1/z^2 + sum' [ 1/(z-w)^2 - 1/w^2 - 2z/w^3 - 3z^2/w^4 - 4z^3/w^5 ]
-                + 3*G4*z^2,
-    where the three subtracted correction terms sum to exactly zero
-    (odd powers) or to the restored 3*G4*z^2 term (even power) over the full
-    lattice because the disk truncation is symmetric under w -> -w, i*w.
-    The lattice is summed in blocks of _DIRECT_SUM_ROWS rows, so memory stays
-    bounded however small tol is.  Independent of the Laurent-series
-    production path; used as its oracle.
+    The lattice points with 0 < |w| <= R enter
+        1/z^2 + sum' [ 1/(z-w)^2 - 1/w^2 - 2z/w^3 - 3z^2/w^4 - 4z^3/w^5 ] + 3*G4*z^2,
+    where the subtracted terms sum to zero (odd powers) or to the restored
+    3*G4*z^2 (even power) because the disk is symmetric under w -> i*w.  As
+    i*L = L, the four summands of each orbit {w, i*w, -w, -i*w} add up to
+        4 z^6 (7 w^4 - 3 z^4) / (w^4 (w^4 - z^4)^2),
+    so one representative w = pi*(j + i*k), j >= 1, k >= 0, stands for its
+    orbit.  The disk is invariant under the quarter turn, so the same points
+    enter as in the plain sum and the tail bound of `direct_sum_radius` holds
+    unchanged.  The quadrant is summed in blocks of _DIRECT_SUM_ROWS rows, so
+    memory stays bounded however small tol is.  Independent of the Laurent
+    path, whose oracle it is; infinite within POLE_CUTOFF of any lattice
+    point, the rule `wp` uses.
     """
     z = complex(z)
-    if abs(z) < POLE_CUTOFF:
+    if abs(z - PI * complex(round(z.real / PI), round(z.imag / PI))) < POLE_CUTOFF:
         return _INF
     R = direct_sum_radius(abs(z), 0.5 * tol)
-    K = int(R / PI) + 1
-    idx = np.arange(-K, K + 1)
+    k = np.arange(int(R / PI) + 2)
+    z4 = (z * z) ** 2
     s = 0j
-    for start in range(0, idx.size, _DIRECT_SUM_ROWS):
-        w = (PI * (idx[None, :] + 1j * idx[start:start + _DIRECT_SUM_ROWS, None])).ravel()
-        r = np.abs(w)
-        w = w[(r > 0) & (r <= R)]
-        iw = 1.0 / w
-        iw2 = iw * iw
-        s += complex(np.sum(
-            1.0 / ((z - w) ** 2)
-            - iw2
-            - (2.0 * z) * iw2 * iw
-            - (3.0 * z * z) * iw2 * iw2
-            - (4.0 * z ** 3) * iw2 * iw2 * iw
-        ))
-    return 1.0 / (z * z) + s + 3.0 * eisenstein_g4() * z * z
+    for start in range(0, k.size, _DIRECT_SUM_ROWS):
+        w = (PI * (k[None, 1:] + 1j * k[start:start + _DIRECT_SUM_ROWS, None])).ravel()
+        w4 = (w[np.abs(w) <= R] ** 2) ** 2
+        s += complex(np.sum((7.0 * w4 - 3.0 * z4) / (w4 * (w4 - z4) ** 2)))
+    return 1.0 / (z * z) + 4.0 * z4 * z * z * s + 3.0 * eisenstein_g4() * z * z
 
 
 def _laurent_coefficients(g2: float, count: int) -> np.ndarray:

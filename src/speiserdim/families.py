@@ -232,31 +232,18 @@ def _complex(re, im) -> np.ndarray:
     return out
 
 
-def _check_count(count: float, radius: float) -> None:
-    if count > _COUNT_LIMIT:
-        raise PoleRangeError(f"radius {radius:g} would enumerate more than {_COUNT_LIMIT} poles")
-
-
-def _pole_table(family: MapFamily, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Poles a with |a| <= radius, sorted by (|a|, real part, imaginary part),
-    and their coefficients b, the principal q-th roots of the b^q tabled in
-    the module docstring.
-
-    They are counted first, per lattice row or strip column, so that an
-    enumeration past _COUNT_LIMIT fails before any per-pole array is built.
-    """
+def _pole_grid(family: MapFamily, radius: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """The number of poles with |a| <= radius, counted per lattice row or strip
+    column so that a count past _COUNT_LIMIT fails before any per-pole array is
+    built, and the columns x and rows y of the grid _pole_table builds them on."""
     if family.tag in ("G", "H", "FMax"):
         step = 2.0 if family.tag == "FMax" else PI
         # a disk wider than sqrt(_COUNT_LIMIT) steps holds too many poles
         # already, so rows beyond that width need no counting
         n = int(min(radius / step, math.sqrt(_COUNT_LIMIT))) + 1
-        x = step * np.arange(-n, n + 1)
-        y = step * (np.arange(-n, n) + 0.5)
+        x, y = step * np.arange(-n, n + 1), step * (np.arange(-n, n) + 0.5)
         half_row = np.floor(np.sqrt(np.maximum(radius * radius - y * y, 0.0)) / step)
-        _check_count(np.sum(2.0 * half_row + 1.0, where=np.abs(y) <= radius), radius)
-        a = _complex(x[None, :], y[:, None]).ravel()
-        a = a[np.hypot(a.real, a.imag) <= radius]
-        c = np.full(a.shape, 2.0 / PI if family.tag == "FMax" else 1.0, dtype=complex)
+        count = np.sum(2.0 * half_row + 1.0, where=np.abs(y) <= radius)
     else:
         m, scale = family.m, _arcsin_scale(family)
         if radius > _RADIUS_LIMIT * scale:
@@ -267,12 +254,28 @@ def _pole_table(family: MapFamily, radius: float) -> tuple[np.ndarray, np.ndarra
         # column k holds the levels l with sinh(pi*(l + 1/2)/m) <= sqrt((r/m)^2 - sin(x/m)^2)
         t = np.minimum(np.abs(np.sin(x / m)) / (r / m), 1.0)
         levels = np.floor(m * np.arcsinh(r / m * np.sqrt((1.0 - t) * (1.0 + t))) / PI + 0.5)
-        _check_count(2.0 * levels.sum(), radius)
+        count = 2.0 * levels.sum()
         y = PI * (np.arange(levels.max() + 1) + 0.5)  # one spare level absorbs rounding
+    if count > _COUNT_LIMIT:
+        raise PoleRangeError(f"radius {radius:g} would enumerate more than {_COUNT_LIMIT} poles")
+    return count, x, y
+
+
+def _pole_table(family: MapFamily, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Poles a with |a| <= radius, sorted by (|a|, real part, imaginary part),
+    and their coefficients b, the principal q-th roots of the b^q tabled in
+    the module docstring, built on the grid of _pole_grid."""
+    _, x, y = _pole_grid(family, radius)
+    if family.tag in ("G", "H", "FMax"):
+        a = _complex(x[None, :], y[:, None]).ravel()
+        a = a[np.hypot(a.real, a.imag) <= radius]
+        c = np.full(a.shape, 2.0 / PI if family.tag == "FMax" else 1.0, dtype=complex)
+    else:
+        m, scale = family.m, _arcsin_scale(family)
         w = _complex(x[None, :] / m, y[:, None] / m).ravel()
         s = np.sin(w)
         a = _complex(m * s.real, m * s.imag)
-        keep = np.hypot(a.real, a.imag) <= r
+        keep = np.hypot(a.real, a.imag) <= radius * scale
         a, c = a[keep], np.cos(w[keep]) / scale
         a, c = np.concatenate([a, np.conj(a)]), np.concatenate([c, np.conj(c)])
         a = _complex(a.real / scale, a.imag / scale)
@@ -300,9 +303,10 @@ def enumerate_poles(family: MapFamily, radius: float) -> list[PoleData]:
 
 
 def _poles_up_to_count(family: MapFamily, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pole table of the first radius 4 * 1.7^j that holds at least count poles."""
+    """The pole table of the first radius 4 * 1.7^j that holds count poles, picked
+    by the counts of _pole_grid: one table is built, the next if it comes out short."""
     radius = 4.0
-    while (table := _pole_table(family, radius))[0].size < count:
+    while _pole_grid(family, radius)[0] < count or (table := _pole_table(family, radius))[0].size < count:
         radius *= 1.7
     return table
 

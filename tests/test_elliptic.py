@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from speiserdim import (
     wp_direct_sum,
     wp_prime,
 )
+from speiserdim import elliptic
 from speiserdim.elliptic import POLE_CUTOFF, _wp_array, direct_sum_radius
 
 
@@ -105,6 +108,65 @@ def test_matches_direct_lattice_sum():
         fast = wp(z)
         assert abs(fast - direct) <= 1e-8 * (1.0 + abs(direct))
     assert time.monotonic() - start < 5.0
+
+
+def _lattice_within(R):
+    """Integer pairs (j, k) with |pi*(j + i*k)| <= R."""
+    K = int(R / PI) + 1
+    j, k = np.meshgrid(np.arange(-K, K + 1), np.arange(-K, K + 1))
+    keep = np.abs(PI * (j + 1j * k)) <= R
+    return j[keep], k[keep]
+
+
+@pytest.mark.parametrize("R", [3.0, PI, 12.0, 40.0, 40.0 * math.sqrt(2.0), 317.5])
+def test_quadrant_representatives_tile_the_lattice(R):
+    # each nonzero lattice point lies in exactly one orbit {w, iw, -w, -iw},
+    # and the orbit has exactly one member with j >= 1, k >= 0
+    j, k = _lattice_within(R)
+    reps = (j >= 1) & (k >= 0)
+    assert 4 * int(reps.sum()) + 1 == j.size
+    orbits = {(a, b) for a, b in zip(j[reps].tolist(), k[reps].tolist())}
+    for a, b in zip(j.tolist(), k.tolist()):
+        if (a, b) != (0, 0):
+            turns = {(a, b), (-b, a), (-a, -b), (b, -a)}
+            assert len(turns & orbits) == 1
+
+
+@pytest.mark.parametrize("z", [0.3 + 0.2j, -1.1 + 0.7j, PI / 2, 0.9 - 1.5j, 3 + 4j, 10 - 2j, -7.5 + 0.4j])
+def test_folded_direct_sum_matches_the_unfolded_sum(monkeypatch, z):
+    # with the radius pinned, the orbit sum must agree with the plain sum
+    # over every lattice point of the disk to a few ulps per term
+    R = 40.0
+    monkeypatch.setattr(elliptic, "direct_sum_radius", lambda z_modulus, tol: R)
+    j, k = _lattice_within(R)
+    w = PI * (j + 1j * k)
+    w = w[w != 0]
+    terms = 1.0 / (z - w) ** 2 - 1.0 / w ** 2 - 2 * z / w ** 3 - 3 * z * z / w ** 4 - 4 * z ** 3 / w ** 5
+    plain = 1.0 / (z * z) + terms.sum() + 3.0 * eisenstein_g4() * z * z
+    scale = abs(1.0 / (z * z)) + np.abs(terms).sum() + abs(3.0 * eisenstein_g4() * z * z)
+    assert abs(wp_direct_sum(z) - plain) <= 4 * w.size * np.finfo(float).eps * scale
+
+
+def test_direct_sum_reports_every_lattice_point_as_a_pole():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (0, PI, 1j * PI, PI + 1j * PI, -3 * PI + 2j * PI, PI + 1e-9, 1j * PI - 1e-9j):
+            assert wp_direct_sum(z) == complex(math.inf, 0.0)
+            assert wp(z).real == math.inf
+        near = wp_direct_sum(PI + 2 * POLE_CUTOFF)
+        assert np.isfinite(near.real) and abs(near) > 1e14
+
+
+def test_direct_sum_memory_stays_bounded():
+    # the quadrant is summed in blocks of rows, so the tightest oracle call
+    # (about 1.3M lattice points) never holds the whole disk at once
+    tracemalloc.start()
+    try:
+        wp_direct_sum(PI / 2, 1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_differential_equation():

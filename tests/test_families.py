@@ -21,7 +21,8 @@ from speiserdim import (
     square_lattice,
     synthetic_lattice_branches,
 )
-from speiserdim.families import TAGS, _pole_table
+from speiserdim import families
+from speiserdim.families import TAGS, _pole_grid, _pole_table, _poles_up_to_count
 
 E1 = square_lattice().e1
 
@@ -300,6 +301,53 @@ def test_synthetic_branches_equal_the_per_pole_loop(count):
     assert [(b.index, b.contraction_lower, b.pole_location) for b in got.branches] == [
         (i + 1, abs(a) ** -1.25 / 2.0, a) for i, a in enumerate(locs[:count].tolist())
     ]
+
+
+COUNT_FAMILIES = (
+    MapFamily(tag="G"), MapFamily(tag="H"), MapFamily(tag="FMax"),
+    MapFamily(tag="Hm"), MapFamily(tag="FLambda", lam=0.8), MapFamily(tag="Hm", m=25, p=2),
+)
+
+
+def _count_id(fam):
+    return fam.tag if fam.tag in ("G", "H", "FMax") else f"{fam.tag}-m{fam.m}-p{fam.p}"
+
+
+@pytest.mark.parametrize("fam", COUNT_FAMILIES, ids=_count_id)
+def test_pole_grid_counts_the_table_it_builds(fam):
+    # radii 4 * 1.7^j up to about 1000 on the lattices and 1e290 on the strips
+    for j in range(11) if fam.tag in ("G", "H", "FMax") else range(0, 1250, 50):
+        radius = 4.0 * 1.7 ** j
+        assert _pole_grid(fam, radius)[0] == _pole_table(fam, radius)[0].size
+
+
+def _first_table_holding(fam, count):
+    """The search the count-first lookup replaced: build each table in turn."""
+    radius = 4.0
+    while (table := _pole_table(fam, radius))[0].size < count:
+        radius *= 1.7
+    return table
+
+
+@pytest.mark.parametrize("fam", COUNT_FAMILIES, ids=_count_id)
+@pytest.mark.parametrize("count", [2, 3, 57, 1000, 12345])
+def test_poles_up_to_count_builds_one_table(monkeypatch, fam, count):
+    want = _first_table_holding(fam, count)
+    calls = []
+    monkeypatch.setattr(families, "_pole_table", lambda f, r: calls.append(r) or _pole_table(f, r))
+    got = _poles_up_to_count(fam, count)
+    assert len(calls) == 1
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
+def test_poles_up_to_count_grows_past_a_short_table(monkeypatch):
+    # should a count overshoot the table it describes, the next radius is built
+    fam = MapFamily(tag="G")
+    want = _first_table_holding(fam, 500)
+    monkeypatch.setattr(families, "_pole_grid", lambda f, r: (10 * _pole_grid(f, r)[0],) + _pole_grid(f, r)[1:])
+    got = _poles_up_to_count(fam, 500)
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
 
 def test_branch_cut_evaluated_as_upper_limit():
     # numpy arcsin on the cut takes the limit from above; the family must
