@@ -4,13 +4,13 @@ closed-form bounds, box counting, and quasiconformal continuity envelopes.
 Lower bound pipeline.  Around every sufficiently distant pole a_k the map
 behaves like (b_k/(z - a_k))^q, so the second iterate has a well-defined
 inverse branch S_k taking the disk D(a_M, r0) around a chosen base pole back
-into itself: invert f once near a_k, then once near a_M.  The branches form
-an iterated function system; every S_k is sampled on the boundary circle of
-D(a_M, r0) and its contraction is certified from the supremum of |(f^2)'|
-over that boundary (the derivative is analytic on the branch domain, so the
-maximum modulus principle makes boundary sampling sufficient) with a 2%
-safety factor.  The root t of sum_k b_k^t = 1 then lower-bounds the
-dimension of the IFS limit set, hence of the chaotic locus.
+into itself: invert f once near a_k, then once near a_M, for all branches at
+once by Newton over the (branch, boundary sample) rows of one array.  The
+branches form an iterated function system; the contraction of each S_k is
+certified from the supremum of |(f^2)'| over the sampled circle (analytic on
+the branch domain, so the maximum modulus principle makes boundary sampling
+sufficient) with a 2% safety factor.  The root t of sum_k b_k^t = 1 then
+lower-bounds the dimension of the IFS limit set, hence of the chaotic locus.
 
 Upper bound pipeline.  The truncated series sum_j (|b_j| / |a_j|^(1+1/M))^t
 over poles decides convergence by a dyadic Cauchy-increment ratio
@@ -38,6 +38,7 @@ from .families import (
 )
 
 PI = math.pi
+_CHUNK_POINTS = 4096  # (branch, sample) points per inversion: bounds the size of its arrays
 
 
 class DegenerateSystemError(ValueError):
@@ -160,31 +161,30 @@ def synthetic_lattice_branches(count: int, q: int = 4, scale: float = 2.0) -> IF
     return IFSBranchSet(branches=branches, base_index=1)
 
 
-class _BranchEscape(RuntimeError):
-    pass
-
-
-def _invert_batch(
-    family: MapFamily, a: complex, b: complex, q: int, targets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve f(z) = v near the pole a, where f(z) ~ (b/(z-a))^q, for every v
-    in targets (Newton).
-
-    Returns z and f'(z), both from the pass that checks the residual.
-    """
-    z = a + b * targets ** (-1.0 / q)
+def _invert_rows(family: MapFamily, a: np.ndarray, b: np.ndarray, q: int, targets: np.ndarray):
+    """Newton solves of f(z) = v near the pole a, where f(z) ~ (b/(z-a))^q, for every v in
+    the (branch, sample) rows of targets; a and b hold one pole per row.  A row stops once
+    its largest step is below 1e-13 * max(1, |a|), or after 60 passes; only live rows are
+    evaluated.  Returns z, f'(z) from the pass that checks the residual (NaN in the rows
+    that failed), and per row "" or why it failed."""
+    # np.multiply: see elliptic._wp_array on numpy's in-place temporaries
+    z = a[:, None] + np.multiply(b[:, None], targets ** (-1.0 / q))
+    df, why, live = np.full_like(z, np.nan), np.full(a.size, "", dtype=object), np.arange(a.size)
     for _ in range(60):
-        f, df, pole = eval_deriv_array(family, z)
-        if pole.any():
-            raise _BranchEscape(f"Newton iterate fell into the pole cutoff near {a!r}")
-        step = (f - targets) / df
-        z = z - step
-        if np.max(np.abs(step)) < 1e-13 * max(1.0, abs(a)):
+        if not live.size:
             break
-    f, df, pole = eval_deriv_array(family, z)
-    if pole.any() or np.max(np.abs(f - targets)) > 1e-8 * (1.0 + np.max(np.abs(targets))):
-        raise _BranchEscape(f"Newton failed to invert the branch near {a!r}")
-    return z, df
+        f, d, pole = eval_deriv_array(family, z[live])
+        hit = pole.any(axis=1)
+        why[live[hit]] = [f"Newton iterate fell into the pole cutoff near {x!r}" for x in a[live[hit]].tolist()]
+        live, step = live[~hit], (f[~hit] - targets[live[~hit]]) / d[~hit]
+        z[live] -= step
+        live = live[~(np.abs(step).max(axis=1) < 1e-13 * np.maximum(1.0, np.abs(a[live])))]
+    done = np.flatnonzero(why == "")
+    f, df[done], pole = eval_deriv_array(family, z[done])
+    residual = np.abs(f - targets[done]).max(axis=1)
+    bad = done[pole.any(axis=1) | (residual > 1e-8 * (1.0 + np.abs(targets[done]).max(axis=1)))]
+    why[bad] = [f"Newton failed to invert the branch near {x!r}" for x in a[bad].tolist()]
+    return z, df, why
 
 
 def auto_base_index(a: np.ndarray, b: np.ndarray, q: int, r0: float) -> int:
@@ -220,10 +220,10 @@ def estimate_branch_contractions(
 
     For each pole index k in M..N (1-based, sorted by modulus), the branch
     S_k = (inverse of f near a_M) o (inverse of f near a_k) is evaluated on
-    boundary_samples points of the circle |u - a_M| = r0.  Branches whose
-    images escape D(a_M, r0), or whose first leg escapes D(a_k, r1), are
-    rejected with a diagnostic instead of poisoning the set.  Each accepted
-    branch gets b_k = 1 / (1.02 * sup |(f^2)'|) over the sampled boundary.
+    boundary_samples points of |u - a_M| = r0, as rows of one Newton inversion
+    per leg and chunk.  It gets b_k = 1 / (1.02 * sup |(f^2)'|) over them, or is
+    rejected with the first check it fails: pole cutoff, Newton residual, first
+    leg in D(a_k, r1), image in D(a_M, r0), b_k in (0, 1).
     """
     check_branch_radii(r0, r1)
     if N < 2:
@@ -239,24 +239,24 @@ def estimate_branch_contractions(
     theta = 0.1357 + 2.0 * PI * np.arange(boundary_samples) / boundary_samples
     boundary = a_base + r0 * np.exp(1j * theta)
 
-    branches: list[IFSBranch] = []
-    rejected: list[tuple[int, str]] = []
-    for k in range(M, N + 1):
-        a_k = complex(a[k - 1])
-        try:
-            w, dw = _invert_batch(family, a_k, complex(b[k - 1]), q, boundary)
-            if (offset := np.max(np.abs(w - a_k))) >= r1:
-                raise _BranchEscape(f"first inverse leg left D(a_{k}, r1): max offset {offset:.3g}")
-            z, dz = _invert_batch(family, a_base, b_base, q, w)
-            if (offset := np.max(np.abs(z - a_base))) >= r0:
-                raise _BranchEscape(f"branch image escaped D(a_{M}, r0): max offset {offset:.3g}")
-            sup = float(np.max(np.abs(dz) * np.abs(dw)))
-            bk = 1.0 / (1.02 * sup)
-            if not 0.0 < bk < 1.0:
-                raise _BranchEscape(f"measured contraction {bk:.3g} outside (0, 1)")
-            branches.append(IFSBranch(index=k, contraction_lower=bk, pole_location=a_k))
-        except _BranchEscape as exc:
-            rejected.append((k, str(exc)))
+    branches, rejected = [], []
+    chunk = max(1, _CHUNK_POINTS // boundary_samples)  # whole branches per inversion
+    for ks in np.split(np.arange(M, N + 1), range(chunk, N + 1 - M, chunk)):
+        a_k = a[ks - 1]
+        w, dw, why = _invert_rows(family, a_k, b[ks - 1], q, np.broadcast_to(boundary, (ks.size, boundary.size)))
+        off1, off0, sup = np.abs(w - a_k[:, None]).max(axis=1), np.zeros(ks.size), np.full(ks.size, np.nan)
+        go = np.flatnonzero((why == "") & ~(off1 >= r1))
+        z, dz, why[go] = _invert_rows(family, np.full(go.size, a_base), np.full(go.size, b_base), q, w[go])
+        off0[go], sup[go] = np.abs(z - a_base).max(axis=1), (np.abs(dz) * np.abs(dw[go])).max(axis=1)
+        bk = 1.0 / (1.02 * sup)
+        for k, pole, why_k, o1, o0, c in zip(ks.tolist(), a_k.tolist(), why, off1, off0, bk.tolist()):
+            why_k = why_k or (f"first inverse leg left D(a_{k}, r1): max offset {o1:.3g}" if o1 >= r1 else
+                              f"branch image escaped D(a_{M}, r0): max offset {o0:.3g}" if o0 >= r0 else
+                              f"measured contraction {c:.3g} outside (0, 1)" if not 0.0 < c < 1.0 else "")
+            if why_k:
+                rejected.append((k, why_k))
+            else:
+                branches.append(IFSBranch(index=k, contraction_lower=c, pole_location=pole))
     if len(branches) < 2:
         raise DegenerateSystemError(
             f"only {len(branches)} branch(es) survived; rejections: {rejected[:4]!r}"

@@ -71,8 +71,8 @@ def direct_sum_radius(z_modulus: float, tol: float) -> float:
     the lattice tail of |w|^-6 by (2/pi) * (1/(4 S^4) + (pi/sqrt 2)/(5 S^5))
     with S = R - pi/sqrt(2).
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (tol > 0 and math.isfinite(z_modulus)):
+        raise ValueError(f"the direct sum needs a positive tol and a finite |z|, not {tol!r} and {z_modulus!r}")
     R = max(12.0, 4.0 * z_modulus)
     while True:
         y0 = z_modulus / R
@@ -102,9 +102,9 @@ def wp_direct_sum(z: complex, tol: float = 1e-9) -> complex:
     point, the rule `wp` uses.
     """
     z = complex(z)
+    R = direct_sum_radius(abs(z), 0.5 * tol)
     if abs(z - PI * complex(round(z.real / PI), round(z.imag / PI))) < POLE_CUTOFF:
         return _INF
-    R = direct_sum_radius(abs(z), 0.5 * tol)
     k = np.arange(int(R / PI) + 2)
     z4 = (z * z) ** 2
     s = 0j

@@ -1,6 +1,8 @@
 """Dimension machinery: Bowen solver, measured branches, pole series,
 box counting, and quasiconformal envelopes."""
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,9 +33,10 @@ from speiserdim import (
     solve_bowen,
     synthetic_lattice_branches,
 )
+from speiserdim import dimension
 from speiserdim.config import ExperimentConfig
 from speiserdim.dimension import auto_base_index, default_box_scales
-from speiserdim.families import _linear_fit
+from speiserdim.families import _linear_fit, _poles_up_to_count
 
 
 def make_branch_set(constants):
@@ -139,6 +142,112 @@ def test_measured_contraction_argument_guards():
         estimate_branch_contractions(fam, None, 1, 0.2, 0.9)
     with pytest.raises(BasePoleError, match="base index 0"):
         estimate_branch_contractions(fam, 0, 5, 0.2, 0.9)
+
+
+FLAMBDA = MapFamily(tag="FLambda")
+# at branch_count 80 with the default radii: base index 27, and these branches
+# leave D(a_k, r1) on their first leg
+FIRST_LEG_ESCAPES_AT_80 = [*range(55, 61), 62, 64, *range(73, 81)]
+
+
+def test_rejections_at_branch_count_80_name_the_first_leg():
+    bs = estimate_branch_contractions(FLAMBDA, None, 80, 0.24, 0.9)
+    assert bs.base_index == 27
+    assert [k for k, _ in bs.rejected] == FIRST_LEG_ESCAPES_AT_80
+    for k, why in bs.rejected:
+        assert re.fullmatch(rf"first inverse leg left D\(a_{k}, r1\): max offset \d\.\d+", why), why
+    assert sorted([br.index for br in bs.branches] + FIRST_LEG_ESCAPES_AT_80) == list(range(27, 81))
+
+
+def _patched_rejections(monkeypatch, ks, patch):
+    """Rejections at branch_count 80 with eval_deriv_array's output passed
+    through patch(f, df, pole, near) inside distance 1 of the poles a_k, k in ks."""
+    a = _poles_up_to_count(FLAMBDA, 80)[0]
+    real = dimension.eval_deriv_array
+
+    def patched(family, z):
+        near = np.logical_or.reduce([np.abs(z - a[k - 1]) < 1.0 for k in ks])
+        return patch(*real(family, z), near)
+
+    monkeypatch.setattr(dimension, "eval_deriv_array", patched)
+    bs = estimate_branch_contractions(FLAMBDA, None, 80, 0.24, 0.9)
+    return dict(bs.rejected), a
+
+
+def test_pole_cutoff_is_reported_before_the_first_leg_check(monkeypatch):
+    # a_31 is an accepted branch; a_55 would otherwise leave D(a_55, r1)
+    rejected, a = _patched_rejections(monkeypatch, [31, 55], lambda f, d, pole, near: (f, d, pole | near))
+    assert sorted(rejected) == sorted(FIRST_LEG_ESCAPES_AT_80 + [31])
+    for k in (31, 55):
+        assert rejected[k] == f"Newton iterate fell into the pole cutoff near {complex(a[k - 1])!r}"
+    assert rejected[56].startswith("first inverse leg left D(a_56, r1)")
+
+
+def test_newton_failure_is_reported_before_the_first_leg_check(monkeypatch):
+    # a derivative 1e6 times too large shrinks every step: 60 passes end far
+    # from the root, and the residual check reports it
+    rejected, a = _patched_rejections(
+        monkeypatch, [31, 56], lambda f, d, pole, near: (f, np.where(near, 1e6 * d, d), pole))
+    assert sorted(rejected) == sorted(FIRST_LEG_ESCAPES_AT_80 + [31])
+    for k in (31, 56):
+        assert rejected[k] == f"Newton failed to invert the branch near {complex(a[k - 1])!r}"
+    assert rejected[55].startswith("first inverse leg left D(a_55, r1)")
+
+
+def test_second_leg_failures_name_the_base_pole(monkeypatch):
+    a = _poles_up_to_count(FLAMBDA, 80)[0]
+    with pytest.raises(DegenerateSystemError) as info:
+        _patched_rejections(monkeypatch, [27], lambda f, d, pole, near: (f, d, pole | near))
+    assert f"(27, 'Newton iterate fell into the pole cutoff near {complex(a[26])!r}')" in str(info.value)
+
+
+def test_image_escaping_the_base_disk_is_rejected():
+    # base pole 24 is not admissible: most images leave D(a_24, r0), while the
+    # outer branches leave D(a_k, r1) first and never reach that check
+    bs = estimate_branch_contractions(FLAMBDA, 24, 60, 0.24, 0.9)
+    assert [br.index for br in bs.branches] == [53, 54]
+    rejected = dict(bs.rejected)
+    assert sorted(rejected) == [*range(24, 53), *range(55, 61)]
+    for k in range(24, 53):
+        assert re.fullmatch(r"branch image escaped D\(a_24, r0\): max offset 0\.2\d+", rejected[k]), rejected[k]
+    for k in range(55, 61):
+        assert rejected[k].startswith(f"first inverse leg left D(a_{k}, r1)")
+
+
+def test_contraction_outside_the_unit_interval_is_rejected(monkeypatch):
+    # a first-leg derivative 1e-9 times too small makes b_k about 1e9 times too
+    # large; branch 55 still reports its first leg
+    plain = estimate_branch_contractions(FLAMBDA, None, 80, 0.24, 0.9)
+    base = {br.index: br.contraction_lower for br in plain.branches}
+    a = _poles_up_to_count(FLAMBDA, 80)[0]
+    real = dimension._invert_rows
+
+    def flattened(family, a_rows, b_rows, q, targets):
+        z, df, why = real(family, a_rows, b_rows, q, targets)
+        return z, np.where(np.isin(a_rows, a[[30, 54]])[:, None], 1e-9 * df, df), why
+
+    monkeypatch.setattr(dimension, "_invert_rows", flattened)
+    bs = estimate_branch_contractions(FLAMBDA, None, 80, 0.24, 0.9)
+    rejected = dict(bs.rejected)
+    assert sorted(rejected) == sorted(FIRST_LEG_ESCAPES_AT_80 + [31])
+    value = re.fullmatch(r"measured contraction (\S+) outside \(0, 1\)", rejected[31]).group(1)
+    assert float(value) == pytest.approx(1e9 * base[31], rel=1e-2)
+    assert rejected[55].startswith("first inverse leg left D(a_55, r1)")
+
+
+@pytest.mark.parametrize("count, samples", [(4000, 64), (300, 1024)])
+def test_branch_inversion_memory_is_bounded_by_the_chunk(count, samples):
+    # 256,000 and 307,200 (branch, sample) points: inverted at once, or 64
+    # branches at a time at 1024 samples, they would need tens of MB
+    estimate_branch_contractions(FLAMBDA, None, 40, 0.24, 0.9)
+    tracemalloc.start()
+    try:
+        bs = estimate_branch_contractions(FLAMBDA, None, count, 0.24, 0.9, boundary_samples=samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(bs.branches) + len(bs.rejected) == count - 26
+    assert peak < 8e6
 
 
 def test_auto_base_index_picks_first_admissible_pole():

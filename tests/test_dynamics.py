@@ -257,7 +257,7 @@ def test_symmetric_render_over_several_blocks(threads):
 # hundreds of orbits exhaust, most of them admitted late at small block sizes
 @pytest.mark.parametrize("family, fp, grid, guard", [
     (FAM, FP, GridSpec(resolution=160, max_iterations=60, attraction_tol=0.05), (30.0, 2)),
-    (MapFamily(tag="FMax"), None, GridSpec(resolution=96, max_iterations=120, attraction_tol=0.5),
+    (MapFamily(tag="FMax"), None, GridSpec(resolution=48, max_iterations=120, attraction_tol=0.5),
      (DEFAULT_GUARD_MODULUS, DEFAULT_GUARD_EXITS)),
     (FAM, FP, GridSpec(resolution=64, max_iterations=4, attraction_tol=0.05), (30.0, 2)),
 ], ids=["fixed-point", "cycle", "budget"])

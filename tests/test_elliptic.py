@@ -239,6 +239,17 @@ def test_direct_sum_radius_grows_with_tightness():
     assert direct_sum_radius(10.0, 1e-9) > direct_sum_radius(1.0, 1e-9)
 
 
+def test_direct_sum_rejects_non_finite_input():
+    # the radius loop ends only for a finite |z| and a tol that compares: at
+    # |z| = inf it never returns, and a NaN tol grows R until S ** 5 overflows
+    for z_modulus, tol in ((math.inf, 1e-9), (math.nan, 1e-9), (1.0, math.nan), (1.0, 0.0), (1.0, -1e-9)):
+        with pytest.raises(ValueError, match="positive tol and a finite"):
+            direct_sum_radius(z_modulus, tol)
+    for z, tol in ((0.5, math.nan), (complex(math.inf, 0.0), 1e-9), (complex(0.5, math.nan), 1e-9)):
+        with pytest.raises(ValueError, match="positive tol and a finite"):
+            wp_direct_sum(z, tol)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.complex_numbers(max_magnitude=50.0, allow_nan=False, allow_infinity=False),
                 min_size=1, max_size=20))
