@@ -423,48 +423,31 @@ def cmd_dim_lower(cfg: ExperimentConfig, out: str, seed: int) -> int:
     return 0
 
 
-def _pole_density_exponent(moduli: np.ndarray) -> float:
-    """Slope of log pole-count against log radius over the ascending moduli."""
-    radii = np.geomspace(moduli[0] * 2.0, moduli[-1], 8)
-    counts = np.searchsorted(moduli, radii, side="right")
-    slope, _, _ = _linear_fit(np.log(radii), np.log(counts))
-    return max(0.0, float(slope))
+def _count_fit(moduli: np.ndarray, lo: float, hi: float, n: int, log_counts: bool):
+    """_linear_fit of the count (or log count) of the ascending moduli within r against log r."""
+    radii = np.geomspace(lo, hi, n)
+    counts = np.searchsorted(moduli, radii, side="right").astype(float)
+    return _linear_fit(np.log(radii), np.log(counts) if log_counts else counts)
 
 
 def cmd_dim_upper(cfg: ExperimentConfig, out: str, seed: int) -> int:
     family = cfg.to_family()
     poles = enumerate_poles(family, cfg.series_radius)
     est = series_exponent(poles, t_hi=cfg.series_t_hi)
-    rows = [
-        (
-            "series_upper",
-            est.value,
-            est.uncertainty[0],
-            est.uncertainty[1],
-            f"poles={len(poles)};multiplicity={est.metadata['multiplicity']};radius={cfg.series_radius:g}",
-        )
-    ]
-    moduli = np.array([abs(p.location) for p in poles])  # ascending, as enumerated
-    rho = _pole_density_exponent(moduli)
+    rows = [("series_upper", est.value, *est.uncertainty,
+             f"poles={len(poles)};multiplicity={est.metadata['multiplicity']};radius={cfg.series_radius:g}")]
+    moduli = np.hypot(poles.location.real, poles.location.imag)  # ascending, as enumerated
+    rho = max(0.0, float(_count_fit(moduli, moduli[0] * 2.0, moduli[-1], 8, log_counts=True)[0]))
     q = family.pole_multiplicity
     fu = formula_upper(q, rho)
     rows.append(("formula_upper", fu, 0.0, fu, f"M={q};rho={rho:.6g}"))
     fit_hi = min(cfg.pole_radius, float(moduli[-1]))
     fit_lo = 2.0 * float(moduli[0])
     if fit_hi > fit_lo * 1.5:
-        radii = np.geomspace(fit_lo, fit_hi, 10)
-        counts = np.searchsorted(moduli, radii, side="right").astype(float)
-        slope, stderr, r = _linear_fit(np.log(radii), counts)
-        se = 2.0 * float(stderr)
-        rows.append(
-            (
-                "pole_count_per_log_radius",
-                float(slope),
-                float(slope) - se,
-                float(slope) + se,
-                f"r_max={fit_hi:g};r_squared={r ** 2:.6g}",
-            )
-        )
+        slope, stderr, r = _count_fit(moduli, fit_lo, fit_hi, 10, log_counts=False)
+        slope, se = float(slope), 2.0 * float(stderr)
+        rows.append(("pole_count_per_log_radius", slope, slope - se, slope + se,
+                     f"r_max={fit_hi:g};r_squared={r ** 2:.6g}"))
     path = out or cfg.out or "dim_upper.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_estimate_rows_csv(cfg, rows))

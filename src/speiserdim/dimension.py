@@ -28,7 +28,7 @@ import numpy as np
 
 from .families import (
     MapFamily,
-    PoleData,
+    POLE_DTYPE,
     _linear_fit,
     _poles_up_to_count,
     eval_deriv_array,
@@ -246,8 +246,9 @@ def estimate_branch_contractions(
         w, dw, why = _invert_rows(family, a_k, b[ks - 1], q, np.broadcast_to(boundary, (ks.size, boundary.size)))
         off1, off0, sup = np.abs(w - a_k[:, None]).max(axis=1), np.zeros(ks.size), np.full(ks.size, np.nan)
         go = np.flatnonzero((why == "") & ~(off1 >= r1))
-        z, dz, why[go] = _invert_rows(family, np.full(go.size, a_base), np.full(go.size, b_base), q, w[go])
-        off0[go], sup[go] = np.abs(z - a_base).max(axis=1), (np.abs(dz) * np.abs(dw[go])).max(axis=1)
+        if go.size:  # no second leg to invert when every branch of the chunk failed the first
+            z, dz, why[go] = _invert_rows(family, np.full(go.size, a_base), np.full(go.size, b_base), q, w[go])
+            off0[go], sup[go] = np.abs(z - a_base).max(axis=1), (np.abs(dz) * np.abs(dw[go])).max(axis=1)
         bk = 1.0 / (1.02 * sup)
         for k, pole, why_k, o1, o0, c in zip(ks.tolist(), a_k.tolist(), why, off1, off0, bk.tolist()):
             why_k = why_k or (f"first inverse leg left D(a_{k}, r1): max offset {o1:.3g}" if o1 >= r1 else
@@ -264,14 +265,15 @@ def estimate_branch_contractions(
     return IFSBranchSet(branches=tuple(branches), base_index=M, rejected=tuple(rejected))
 
 
-def series_terms(poles: list[PoleData], t: float, multiplicity: int | None = None) -> np.ndarray:
-    """Terms (|b_j| / |a_j|^(1 + 1/M))^t in enumeration order."""
+def series_terms(poles, t: float) -> np.ndarray:
+    """Terms (|b_j| / |a_j|^(1 + 1/M))^t in enumeration order, M the largest multiplicity,
+    for enumerate_poles' records or a list of PoleData.  The base is b / |a| / |a|^(1/M),
+    which stays finite where |a|^(1 + 1/M) would overflow."""
     if t <= 0:
         raise ValueError("t must be positive")
-    a = np.array([abs(p.location) for p in poles], dtype=float)
-    b = np.array([p.coeff_magnitude for p in poles], dtype=float)
-    M = multiplicity if multiplicity is not None else max(p.multiplicity for p in poles)
-    return (b / a ** (1.0 + 1.0 / M)) ** t
+    poles = np.asarray(poles, dtype=POLE_DTYPE)
+    mod = np.hypot(poles["location"].real, poles["location"].imag)
+    return (poles["coeff_magnitude"] / mod / mod ** (1.0 / poles["multiplicity"].max())) ** t
 
 
 def _increment_ratio(terms: np.ndarray) -> float:
@@ -287,17 +289,17 @@ def _increment_ratio(terms: np.ndarray) -> float:
 _RATIO_MARGIN = 0.9
 
 
-def series_exponent(poles: list[PoleData], t_hi: float = 4.0) -> DimensionEstimate:
+def series_exponent(poles, t_hi: float = 4.0) -> DimensionEstimate:
     """Infimum-of-convergence exponent of the pole series, with margins.
 
     Point estimate: bisection on increment ratio = 1.  Uncertainty interval:
     the last clearly divergent t (ratio 1/0.9) up to the first clearly
     convergent t (ratio 0.9), clamped into [0, 2].
     """
-    if len(poles) < 20:
-        raise InsufficientPolesError(f"{len(poles)} poles; need at least 20")
-    mult = max(p.multiplicity for p in poles)
-    bases = series_terms(poles, 1.0, mult)  # x ** 1.0 == x: bases ** t is series_terms bitwise
+    poles = np.asarray(poles, dtype=POLE_DTYPE)
+    if poles.size < 20:
+        raise InsufficientPolesError(f"{poles.size} poles; need at least 20")
+    bases = series_terms(poles, 1.0)  # x ** 1.0 == x: bases ** t is series_terms bitwise
     t_min = 1e-3
     r_min = _increment_ratio(bases ** t_min)
     r_max = _increment_ratio(bases ** t_hi)
@@ -322,7 +324,7 @@ def series_exponent(poles: list[PoleData], t_hi: float = 4.0) -> DimensionEstima
         value=value,
         method="series_upper",
         uncertainty=(lo, hi),
-        metadata={"poles": len(poles), "multiplicity": mult, "t_hi": t_hi},
+        metadata={"poles": poles.size, "multiplicity": int(poles["multiplicity"].max()), "t_hi": t_hi},
     )
 
 

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -216,13 +217,16 @@ def eval_deriv_array(family: MapFamily, z) -> tuple[np.ndarray, np.ndarray, np.n
     return values, derivs, value_pole | deriv_pole
 
 
-@dataclass(frozen=True, slots=True)
-class PoleData:
+class PoleData(NamedTuple):
     """One pole: location a, multiplicity q, and |b| with f(z) ~ (b/(z-a))^q."""
 
     location: complex
     multiplicity: int
     coeff_magnitude: float
+
+
+# one record of enumerate_poles' table: PoleData's fields, 32 bytes per pole
+POLE_DTYPE = np.dtype([("location", complex), ("multiplicity", np.int64), ("coeff_magnitude", float)])
 
 
 def _complex(re, im) -> np.ndarray:
@@ -290,16 +294,15 @@ def _pole_table(family: MapFamily, radius: float) -> tuple[np.ndarray, np.ndarra
     return a, _complex(size * np.cos(turn), size * np.sin(turn))
 
 
-def _pole_data(family: MapFamily, a: np.ndarray, b: np.ndarray) -> list[PoleData]:
-    q = family.pole_multiplicity
-    return [PoleData(x, q, y) for x, y in zip(a.tolist(), np.hypot(b.real, b.imag).tolist())]
-
-
-def enumerate_poles(family: MapFamily, radius: float) -> list[PoleData]:
-    """All poles with |a| <= radius, sorted by modulus, with |b| in closed form."""
+def enumerate_poles(family: MapFamily, radius: float) -> np.recarray:
+    """All poles with |a| <= radius, sorted by modulus, with |b| in closed form: one
+    record of POLE_DTYPE per pole, whose fields are PoleData's."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    return _pole_data(family, *_pole_table(family, radius))
+    a, b = _pole_table(family, radius)
+    poles = np.recarray(a.shape, dtype=POLE_DTYPE)
+    poles.location, poles.multiplicity, poles.coeff_magnitude = a, family.pole_multiplicity, np.hypot(b.real, b.imag)
+    return poles
 
 
 def _poles_up_to_count(family: MapFamily, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -313,7 +316,9 @@ def _poles_up_to_count(family: MapFamily, count: int) -> tuple[np.ndarray, np.nd
 
 def nearest_pole(family: MapFamily) -> PoleData:
     """The pole of smallest modulus (upper half-plane representative)."""
-    return next(p for p in _pole_data(family, *_poles_up_to_count(family, 2)) if p.location.imag > 0)
+    a, b = _poles_up_to_count(family, 2)
+    k = np.flatnonzero(a.imag > 0)[0]
+    return PoleData(complex(a[k]), family.pole_multiplicity, abs(complex(b[k])))
 
 
 def _linear_fit(x, y) -> tuple[float, float, float]:

@@ -181,14 +181,29 @@ def test_cli_import_stays_free_of_scipy():
 
 
 
-def test_perfbench_tracer_finds_every_name_it_wraps():
+_TRACED_RUN = """
+import sys, tracer
+spans = tracer.Tracer()
+tracer.install(spans)
+from speiserdim import cli
+for command in ("verify", "dim-lower", "dim-upper"):
+    assert cli.main([command, "--out", sys.argv[1]]) == 0, command
+print(" ".join(sorted({span[1] for span in spans.spans})))
+"""
+
+
+def test_perfbench_tracer_finds_every_name_it_wraps(tmp_path):
     # the traced bench wraps names in cli, dynamics and dimension; a refactor
-    # that drops one breaks only that bench, so check them here
+    # that drops one, or stops calling it where it is wrapped, breaks only that
+    # bench, so check here that the bounds workload's commands reach each span
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
-    done = subprocess.run([sys.executable, "-c", "import tracer; tracer.install(tracer.Tracer())"],
-                          env=env, capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-c", _TRACED_RUN, str(tmp_path / "out.txt")],
+                          env=env, capture_output=True, text=True, timeout=120, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
+    spans = set(done.stdout.splitlines()[-1].split())
+    assert {"families.enumerate_poles", "dimension.series_exponent", "dimension.estimate_branch_contractions",
+            "dimension.solve_bowen", "dimension.eval_deriv_array"} <= spans
 
 def test_cli_render_deterministic_pgm(tmp_path, capsys):
     cfg = write_config(tmp_path, (

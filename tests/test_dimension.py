@@ -36,6 +36,7 @@ from speiserdim import (
 from speiserdim import dimension
 from speiserdim.config import ExperimentConfig
 from speiserdim.dimension import auto_base_index, default_box_scales
+from speiserdim.families import eval_deriv_array
 from speiserdim.families import _linear_fit, _poles_up_to_count
 
 
@@ -250,6 +251,20 @@ def test_branch_inversion_memory_is_bounded_by_the_chunk(count, samples):
     assert peak < 8e6
 
 
+def test_branch_inversion_never_evaluates_an_empty_array(monkeypatch):
+    # at 320 branches whole chunks fail the first leg: they have no second leg to invert
+    sizes = []
+
+    def counted(family, z):
+        sizes.append(np.size(z))
+        return eval_deriv_array(family, z)
+
+    monkeypatch.setattr(dimension, "eval_deriv_array", counted)
+    bs = estimate_branch_contractions(FLAMBDA, None, 320, 0.24, 0.9)
+    assert len(bs.rejected) > 64 and len(bs.branches) >= 2
+    assert min(sizes) > 0
+
+
 def test_auto_base_index_picks_first_admissible_pole():
     locations = np.arange(1, 31) + 0j
     # admissibility needs |a| > (|b|/r0)**q + r0 = 2.5
@@ -295,6 +310,31 @@ def test_series_guards():
         series_exponent(poles)
     with pytest.raises(ValueError, match="positive"):
         series_terms(pseries_poles(32), 0.0)
+
+
+def test_series_terms_stay_finite_where_the_power_overflows():
+    # |a|^(1 + 1/M) overflows past |a| ~ 1e246 at M = 4, though the term does not
+    far = [PoleData(location=1e300j, multiplicity=4, coeff_magnitude=1e299)]
+    with np.errstate(over="raise", invalid="raise"):
+        assert series_terms(far, 1.0)[0] == pytest.approx(0.1 * 1e-75, rel=1e-12)
+        terms = series_terms(enumerate_poles(MapFamily(tag="FLambda"), 1e300), 1.0)
+    assert terms.size == 35550 and np.isfinite(terms).all() and (terms > 0).all()
+
+
+@pytest.mark.parametrize("family, radius", [
+    (MapFamily(tag="G"), 60.0), (MapFamily(tag="FMax"), 40.0), (MapFamily(tag="H", p=2), 60.0),
+    (MapFamily(tag="Hm", m=5), 1e20), (MapFamily(tag="FLambda", lam=0.3), 1e80),
+], ids=lambda x: getattr(x, "tag", None))
+def test_series_exponent_equal_on_records_and_pole_data_lists(family, radius):
+    records = enumerate_poles(family, radius)
+    listed = [PoleData(*p) for p in records]
+    assert isinstance(listed[0], PoleData) and listed[0].location == records[0].location
+    assert series_terms(records, 0.7).tobytes() == series_terms(listed, 0.7).tobytes()
+    got, want = series_exponent(records), series_exponent(listed)
+    assert _same_bits(got.value, want.value)
+    assert all(_same_bits(x, y) for x, y in zip(got.uncertainty, want.uncertainty))
+    assert got.metadata == want.metadata == {"poles": len(records), "multiplicity": family.pole_multiplicity,
+                                             "t_hi": 4.0}
 
 
 def test_series_exponent_small_for_sparse_pole_family():

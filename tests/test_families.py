@@ -1,6 +1,7 @@
 """Map families: forced values, symmetries, multiplicities, pole inventory."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,6 +184,21 @@ def test_pole_enumeration_range_errors():
     with pytest.raises(ValueError):
         enumerate_poles(MapFamily(tag="Hm", m=9), -1.0)
 
+
+
+def test_pole_records_keep_32_bytes_per_pole():
+    # one record of location, multiplicity and |b| per pole, with no object per pole
+    enumerate_poles(MapFamily(tag="G"), 8.0)
+    tracemalloc.start()
+    try:
+        poles = enumerate_poles(MapFamily(tag="G"), 400.0)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(poles) == 50930 and kept <= 40 * len(poles)
+    first = poles[0]
+    assert (first.location, first.multiplicity) == (-1j * PI / 2, 4)
+    assert first.coeff_magnitude == pytest.approx(E1 ** -0.5, rel=1e-15)
 
 
 # The per-pole loops the vectorized enumerator replaced, kept as its oracle.
