@@ -2,6 +2,12 @@
 finite-singular-value meromorphic maps: elliptic evaluation, orbit
 classification and rendering, dimension bounds, and continuity envelopes."""
 
+import os
+
+# Set before the first numpy import: OpenBLAS otherwise starts a worker per extra
+# core that spins ~0.13 s CPU at start-up, though BLAS here sees only a 2x10 np.cov.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .sphere import ExtendedComplex, INFINITY
 from .elliptic import (
     PI,

@@ -103,12 +103,9 @@ class _Checks:
         for name, residual, tol in self.rows:
             ok = residual <= tol
             passed += ok
-            lines.append(
-                f"{'PASS' if ok else 'FAIL'}  {name:<42} residual={residual:.3e}  tol={tol:.3e}"
-            )
-        total = len(self.rows)
-        lines.append(f"verify: {passed}/{total} checks passed")
-        return "\n".join(lines) + "\n", passed == total
+            lines.append(f"{'PASS' if ok else 'FAIL'}  {name:<42} residual={residual:.3e}  tol={tol:.3e}")
+        lines.append(f"verify: {passed}/{len(self.rows)} checks passed")
+        return "\n".join(lines) + "\n", passed == len(self.rows)
 
 
 def _wp_batch(points: list[complex]) -> tuple[list[complex], list[complex]]:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from io import StringIO
 
 import numpy as np
 
@@ -83,8 +82,8 @@ class GridSpec:
         if self.attraction_tol <= 0:
             raise ValueError("attraction_tol must be positive")
 
-    def pixel_centers(self) -> np.ndarray:
-        """Pixel centres, top row first; an axis centred on 0 is built of exact negations.
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Column reals and row imaginaries (top row first); a centred axis is built of exact negations.
 
         On such an axis x[n-1-i] == -x[i] bitwise and the middle of an odd n
         is +0.0, so mirrored pixels start at exactly mirrored points, which
@@ -94,6 +93,11 @@ class GridSpec:
                    self.resolution, self.center.real == 0)
         ys = _axis(self.center.imag + self.half_width, self.center.imag - self.half_width,
                    self.resolution, self.center.imag == 0)
+        return xs, ys
+
+    def pixel_centers(self) -> np.ndarray:
+        """All pixel centres, xs + 1j*ys over `axes`, top row first."""
+        xs, ys = self.axes()
         return xs[None, :] + 1j * ys[:, None]
 
 
@@ -236,12 +240,8 @@ class RasterResult:
         span = max(self.grid.max_iterations, 1)
         shade = 1 + (self.codes.astype(np.int64) * 253) // (span + 1)
         img = np.where(self.codes == CODE_JULIA, 0, np.where(self.codes == CODE_UNDETERMINED, 255, shade))
-        header = StringIO()
-        header.write("P5\n")
-        for line in comments or []:
-            header.write(f"# {line}\n")
-        header.write(f"{n} {n}\n255\n")
-        return header.getvalue().encode("ascii") + img.astype(np.uint8).tobytes()
+        header = "P5\n" + "".join(f"# {line}\n" for line in comments or []) + f"{n} {n}\n255\n"
+        return header.encode("ascii") + img.astype(np.uint8).tobytes()
 
 
 # Orbit slots of _iterate_block, which bound the orbit state held at once.
@@ -256,7 +256,7 @@ def _mirrors(grid: GridSpec, family: MapFamily, fp: FixedPointData | None) -> tu
 
     The row mirror is z -> conj z and needs the grid centred on the real
     axis; the column mirror is z -> -conj z and needs it centred on the
-    imaginary axis.  There pixel_centers() makes mirrored starts exact.
+    imaginary axis.  There GridSpec.axes() makes mirrored starts exact.
 
     The fold in families._normalize/_unfold makes f(-z) = f(z) and
     f(conj z) = conj f(z) bitwise (-conj f(z) for FMax).  So under either
@@ -304,7 +304,7 @@ def render(
     """
     if fp is None and cycle_periods < 1:
         raise ValueError("cycle_periods must be at least 1")
-    pts = grid.pixel_centers()
+    xs, ys = grid.axes()
     n = grid.resolution
     row, col = _mirrors(grid, family, fp)
     rows = (n + 1) // 2 if row else n
@@ -312,13 +312,13 @@ def render(
     tol = grid.attraction_tol
 
     codes = np.empty((n, n), dtype=np.int32)
-    codes[:rows, :cols] = _iterate_block(pts[:rows, :cols], family, fp, grid.max_iterations, tol,
-                                         guard_modulus, guard_exit_limit, cycle_periods).reshape(rows, cols)
+    codes[:rows, :cols] = _iterate_block(xs[None, :cols] + 1j * ys[:rows, None], family, fp, grid.max_iterations,
+                                         tol, guard_modulus, guard_exit_limit, cycle_periods).reshape(rows, cols)
     codes[:rows, cols:] = codes[:rows, :n - cols][:, ::-1]
     codes[rows:] = codes[:n - rows][::-1]
     if fp is not None:
-        band = np.abs(pts[:, 0].imag) < tol
-        codes[band] = np.where(np.abs(pts[band] - fp.location) < tol, 0, codes[band])
+        band = np.abs(ys) < tol
+        codes[band] = np.where(np.abs(xs[None, :] + 1j * ys[band, None] - fp.location) < tol, 0, codes[band])
     return RasterResult(grid=grid, family=family, codes=codes)
 
 

@@ -69,19 +69,26 @@ def direct_sum_radius(z_modulus: float, tol: float) -> float:
     by C(y0) |z|^4 / |w|^6 with y0 = |z|/R and
     C(y0) = 5/(1-y0) + y0/(1-y0)^2.  Cell-to-integral comparison then bounds
     the lattice tail of |w|^-6 by (2/pi) * (1/(4 S^4) + (pi/sqrt 2)/(5 S^5))
-    with S = R - pi/sqrt(2).
+    with S = R - pi/sqrt(2).  The bound falls as R grows: R is the floor
+    max(12, 4|z|) or the passing end of a bracket bisected to a width of 1e-9 R.
     """
     if not (tol > 0 and math.isfinite(z_modulus)):
         raise ValueError(f"the direct sum needs a positive tol and a finite |z|, not {tol!r} and {z_modulus!r}")
-    R = max(12.0, 4.0 * z_modulus)
-    while True:
+
+    def passes(R: float) -> bool:
         y0 = z_modulus / R
         C = 5.0 / (1.0 - y0) + y0 / (1.0 - y0) ** 2
-        S = R - PI / math.sqrt(2.0)
-        lattice_tail = (2.0 / PI) * (1.0 / (4.0 * S ** 4) + (PI / math.sqrt(2.0)) / (5.0 * S ** 5))
-        if C * z_modulus ** 4 * lattice_tail < tol:
-            return R
-        R *= 1.25
+        S = R - _CELL_RADIUS
+        lattice_tail = (2.0 / PI) * (1.0 / (4.0 * S ** 4) + _CELL_RADIUS / (5.0 * S ** 5))
+        return C * z_modulus ** 4 * lattice_tail < tol
+
+    lo = hi = max(12.0, 4.0 * z_modulus)
+    while not passes(hi):
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+    return hi
 
 
 def wp_direct_sum(z: complex, tol: float = 1e-9) -> complex:

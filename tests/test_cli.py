@@ -180,6 +180,27 @@ def test_cli_import_stays_free_of_scipy():
     assert [re.split(r"[<>=!~ ]", dep)[0] for dep in project["dependencies"]] == ["numpy"]
 
 
+def test_cli_import_runs_on_one_thread():
+    # a subprocess, since pytest has already imported numpy and started its BLAS pool
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(root / "src")
+    probe = ("import os, speiserdim.cli; "
+             "print(os.environ['OPENBLAS_NUM_THREADS'], "
+             "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else -1)")
+
+    def run(env):
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout.split()
+        return out[0], int(out[1])
+
+    blas, threads = run(env)
+    assert blas == "1"
+    if threads >= 0:
+        assert threads == 1
+    assert run(dict(env, OPENBLAS_NUM_THREADS="3"))[0] == "3"
+
+
 
 _TRACED_RUN = """
 import sys, tracer

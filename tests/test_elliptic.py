@@ -239,6 +239,26 @@ def test_direct_sum_radius_grows_with_tightness():
     assert direct_sum_radius(10.0, 1e-9) > direct_sum_radius(1.0, 1e-9)
 
 
+def test_direct_sum_radius_is_minimal():
+    # the tail bound of direct_sum_radius's docstring, recomputed here
+    def bound(z_modulus, R):
+        y0 = z_modulus / R
+        S = R - math.pi / math.sqrt(2.0)
+        tail = (2.0 / math.pi) * (1.0 / (4.0 * S ** 4) + (math.pi / math.sqrt(2.0)) / (5.0 * S ** 5))
+        return (5.0 / (1.0 - y0) + y0 / (1.0 - y0) ** 2) * z_modulus ** 4 * tail
+
+    on_floor = 0
+    for z_modulus in np.linspace(0.0, 40.0, 81):
+        for tol in (1e-6, 1e-9, 1e-12):
+            R = direct_sum_radius(z_modulus, tol)
+            assert bound(z_modulus, R) < tol
+            if R == max(12.0, 4.0 * z_modulus):
+                on_floor += 1
+            else:
+                assert not bound(z_modulus, R * (1 - 1e-6)) < tol, (z_modulus, tol, R)
+    assert 0 < on_floor < 243
+
+
 def test_direct_sum_rejects_non_finite_input():
     # the radius loop ends only for a finite |z| and a tol that compares: at
     # |z| = inf it never returns, and a NaN tol grows R until S ** 5 overflows
