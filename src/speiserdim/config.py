@@ -171,14 +171,8 @@ def load_config(path: str) -> ExperimentConfig:
         return parse_config(fh.read())
 
 
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def serialize_config(cfg: ExperimentConfig) -> str:
-    lines = [f"{f.name} = {_format_value(getattr(cfg, f.name))}" for f in fields(ExperimentConfig)]
+    lines = [f"{f.name} = {getattr(cfg, f.name)}" for f in fields(ExperimentConfig)]
     return "\n".join(lines) + "\n"
 
 

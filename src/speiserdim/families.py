@@ -19,7 +19,8 @@ Derived families, selected by the `tag` of a MapFamily:
 arcsin uses the principal branch, cuts on (-inf, -1] and [1, inf) scaled
 by m; on-cut values are the limit from the upper half-plane.  For odd m the
 two branch choices w and pi*m - w give equal values (H is even and
-pi-periodic), so the composition is single-valued.
+pi-periodic), so the composition is single-valued.  _asin_q1 computes arcsin
+and the chain rule's sqrt(1 - s^2) on the same branch from real ufuncs.
 
 Every public evaluation is normalized before computing: arguments in the
 lower half-plane evaluate via the conjugate symmetry f(conj z) = conj f(z)
@@ -96,50 +97,86 @@ class MapFamily:
                 raise ValueError("p must be a positive integer")
             if not 0.0 < self.eta < PI / 2:
                 raise ValueError("eta must lie strictly inside (0, pi/2)")
-        if self.tag in ("Hm", "FLambda"):
-            if int(self.m) != self.m or self.m < 1 or self.m % 2 == 0:
-                raise ValueError(
-                    "m must be an odd positive integer; the arcsin composition "
-                    "is single-valued only for odd m"
-                )
-        if self.tag == "FLambda":
-            if not 0.0 < self.lam <= 1.0:
-                raise ValueError("lam must lie in (0, 1]")
+        if self.tag in ("Hm", "FLambda") and (int(self.m) != self.m or self.m < 1 or self.m % 2 == 0):
+            raise ValueError("m must be an odd positive integer; the arcsin composition "
+                             "is single-valued only for odd m")
+        if self.tag == "FLambda" and not 0.0 < self.lam <= 1.0:
+            raise ValueError("lam must lie in (0, 1]")
 
     @property
     def pole_multiplicity(self) -> int:
         return 4 if self.tag in ("G", "FMax") else 4 * self.p
 
 
-def _finite(values: np.ndarray) -> np.ndarray:
-    return np.isfinite(values.real) & np.isfinite(values.imag)
+def _complex(re, im) -> np.ndarray:
+    """re + i*im, assembled from its parts with no complex arithmetic."""
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
 def _normalize(z: np.ndarray):
-    """Fold z into the closed first quadrant: returns (zn, negated, conjugated).
+    """Fold z into the closed first quadrant: returns (|Re z|, |Im z|, negated, conjugated).
 
     Negation first: conjugating first could leave the negated point back in
     the lower half-plane, splitting one symmetry orbit over two
-    representatives.
+    representatives.  So the point is conjugated when exactly one of its
+    parts has its sign bit set.
     """
     negated = np.signbit(z.real)
-    zn = np.where(negated, -z, z)
-    conjugated = np.signbit(zn.imag)
-    return np.where(conjugated, np.conj(zn), zn), negated, conjugated
+    return np.abs(z.real), np.abs(z.imag), negated, negated ^ np.signbit(z.imag)
 
 
 def _arcsin_scale(family: MapFamily) -> float:
     return family.lam if family.tag == "FLambda" else 1.0
 
 
-def _wp_argument(family: MapFamily, zn: np.ndarray) -> np.ndarray:
-    """Point at which wp is evaluated for a normalized argument."""
+@np.errstate(under="ignore")  # terms that underflow are negligible next to the others
+def _asin_q1(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """arcsin s for s = x + iy in the closed first quadrant, from real ufuncs: returns
+    Re and Im arcsin s and the parts (c, delta) of sqrt(1 - s^2) = c - i*delta.
+
+    With alpha = ((1-x)(1+x) + y^2)/2, b = xy and t = sqrt(|alpha| + |alpha - i*b|),
+    1 - s^2 = 2(alpha - i*b) has the principal root (c, delta) = (t, b/t) where
+    alpha >= 0, else (b/t, t); then -i*log(i*s + sqrt(1 - s^2)) is
+        atan2(x + delta, c + y) + (i/2) log1p(2(delta (x + delta) + y (c + y)))
+    with no cancellation.  y = +0 past 1 gives the limit from the upper half-plane.
+    Past max(x, y) = 1e8, where this would overflow from 1e77, arcsin s is
+    atan2(x, y) + i*log(2|s|) and the root -i*s to double precision.
+    """
+    top = np.maximum(x, y)
+    far = top > 1e8
+    any_far = np.count_nonzero(far) > 0  # see elliptic._reduce_array
+    # s = 0 stands in for the far points in the general form
+    xs, ys = (np.where(far, 0.0, x), np.where(far, 0.0, y)) if any_far else (x, y)
+    alpha, b = 0.5 * ((1.0 - xs) * (1.0 + xs) + ys * ys), xs * ys
+    abs_alpha, pos = np.abs(alpha), alpha >= 0.0
+    # max(|alpha|, b) stands in for |alpha - i*b| where its square underflows, near s = 1
+    t = np.sqrt(abs_alpha + np.maximum(np.sqrt(alpha * alpha + b * b), np.maximum(abs_alpha, b)))
+    g = b / np.maximum(t, 1e-300)  # t = 0 only at s = 1, where b = 0
+    c, delta = np.where(pos, t, g), np.where(pos, g, t)
+    del alpha, b, abs_alpha, pos, t, g  # five arrays fewer at the peak of a 4,096-point eval
+    ex, ey = xs + delta, c + ys
+    re, im = np.arctan2(ex, ey), 0.5 * np.log1p(2.0 * (delta * ex + ys * ey))
+    if any_far:
+        hi, lo = np.where(far, top, 1.0), np.where(far, np.minimum(x, y), 0.0)
+        re = np.where(far, np.arctan2(x, y), re)
+        im = np.where(far, math.log(2.0) + np.log(hi) + 0.5 * np.log1p(np.square(lo / hi)), im)
+        c, delta = np.where(far, y, c), np.where(far, x, delta)
+    return re, im, c, delta
+
+
+def _wp_argument(family: MapFamily, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, tuple | None]:
+    """wp's argument at the folded point x + iy, built from the parts as numpy's complex
+    arithmetic rounds them at finite points (lam * x * (1/m) for the division by m),
+    and for Hm and FLambda the root (c, delta) of _asin_q1 at s = lam * (x + iy) / m."""
     if family.tag == "FMax":
-        return PI * zn / 2.0 + 0.5j * PI
+        return _complex(PI * x / 2.0, PI * y / 2.0 + 0.5 * PI), None
     if family.tag in ("Hm", "FLambda"):
-        u = _arcsin_scale(family) * zn
-        return family.m * np.arcsin(u / family.m) + 0.5j * PI
-    return zn + 0.5j * PI
+        k = 1.0 / family.m
+        re, im, c, delta = _asin_q1(_arcsin_scale(family) * x * k, _arcsin_scale(family) * y * k)
+        return _complex(family.m * re, family.m * im + 0.5 * PI), (c, delta)
+    return _complex(x, y + 0.5 * PI), None
 
 
 def _value_from_wp(family: MapFamily, v: np.ndarray) -> np.ndarray:
@@ -149,14 +186,14 @@ def _value_from_wp(family: MapFamily, v: np.ndarray) -> np.ndarray:
         return 1j * g
     if family.tag == "G":
         return g
-    return family.eta * g ** family.p
+    # skip numpy's slow g ** 1: it is g, bar the zero signs that eta * g rounds away
+    return family.eta * (g if family.p == 1 else g ** family.p)
 
 
-def _derivative_from_wp(family: MapFamily, zn: np.ndarray, v: np.ndarray, vp: np.ndarray) -> np.ndarray:
-    """Chain rule through wp and wp' at a normalized argument."""
+def _derivative_from_wp(family: MapFamily, root, v: np.ndarray, vp: np.ndarray) -> np.ndarray:
+    """Chain rule through wp and wp' at a normalized argument and _wp_argument's root."""
     e1 = square_lattice().e1
-    # np.multiply and np.square, so that no product is computed in place
-    # (see elliptic._wp_array)
+    # np.multiply and np.square: no product is computed in place (see elliptic._wp_array)
     dg = np.multiply(2.0 * v, vp) / (e1 * e1)
     if family.tag == "FMax":
         return 1j * (PI / 2.0) * dg
@@ -165,16 +202,15 @@ def _derivative_from_wp(family: MapFamily, zn: np.ndarray, v: np.ndarray, vp: np
     else:
         g = np.square(v / e1)
         out = np.multiply(family.eta * family.p * g ** (family.p - 1), dg)
-    if family.tag in ("Hm", "FLambda"):
-        scale = _arcsin_scale(family)
-        out = np.multiply(out, scale / np.sqrt(1.0 - np.square(scale * zn / family.m)))
+    if root is not None:
+        out = np.multiply(out, _arcsin_scale(family) / _complex(root[0], -root[1]))
     return out
 
 
 def _unfold(family: MapFamily, out: np.ndarray, conjugated: np.ndarray, pole: np.ndarray):
     """Undo the conjugation fold and fold overflowing entries into the pole mask."""
     out = np.where(conjugated, -np.conj(out) if family.tag == "FMax" else np.conj(out), out)
-    bad = ~_finite(out)
+    bad = ~np.isfinite(out)
     return np.where(bad, 0.0, out), pole | bad
 
 
@@ -186,17 +222,15 @@ def eval_family_array(family: MapFamily, z) -> tuple[np.ndarray, np.ndarray]:
     double precision are also folded into pole_mask (they only arise inside
     pole neighbourhoods).
     """
-    zn, _, conjugated = _normalize(np.asarray(z, dtype=complex))
-    v, _, pole = _wp_array(_wp_argument(family, zn))
+    x, y, _, conjugated = _normalize(np.asarray(z, dtype=complex))
+    v, _, pole = _wp_array(_wp_argument(family, x, y)[0])
     return _unfold(family, _value_from_wp(family, v), conjugated, pole)
 
 
 def eval_family(family: MapFamily, z: complex) -> ExtendedComplex:
     """f(z) as a size-1 call into eval_family_array, so its bits equal the array path's."""
     values, pole = eval_family_array(family, [complex(z)])
-    if pole[0]:
-        return INFINITY
-    return ExtendedComplex(complex(values[0]))
+    return INFINITY if pole[0] else ExtendedComplex(complex(values[0]))
 
 
 def eval_deriv_array(family: MapFamily, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -209,10 +243,11 @@ def eval_deriv_array(family: MapFamily, z) -> tuple[np.ndarray, np.ndarray, np.n
     pole_mask marks poles and every entry whose value or derivative
     overflows; entries under it are meaningless placeholders.
     """
-    zn, negated, conjugated = _normalize(np.asarray(z, dtype=complex))
-    v, vp, pole = _wp_array(_wp_argument(family, zn), derivative=True)
+    x, y, negated, conjugated = _normalize(np.asarray(z, dtype=complex))
+    w, root = _wp_argument(family, x, y)
+    v, vp, pole = _wp_array(w, derivative=True)
     values, value_pole = _unfold(family, _value_from_wp(family, v), conjugated, pole)
-    d = _derivative_from_wp(family, zn, v, vp)
+    d = _derivative_from_wp(family, root, v, vp)
     derivs, deriv_pole = _unfold(family, np.where(negated, -d, d), conjugated, pole)
     return values, derivs, value_pole | deriv_pole
 
@@ -227,13 +262,6 @@ class PoleData(NamedTuple):
 
 # one record of enumerate_poles' table: PoleData's fields, 32 bytes per pole
 POLE_DTYPE = np.dtype([("location", complex), ("multiplicity", np.int64), ("coeff_magnitude", float)])
-
-
-def _complex(re, im) -> np.ndarray:
-    """re + i*im, assembled from its parts with no complex arithmetic."""
-    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
-    out.real, out.imag = re, im
-    return out
 
 
 def _pole_grid(family: MapFamily, radius: float) -> tuple[float, np.ndarray, np.ndarray]:
@@ -356,13 +384,8 @@ def local_exponent(family: MapFamily, z0: complex, kind: str, value: complex = 0
     target = 0.0 if kind in ("zero", "pole") else complex(value)
     pts = complex(z0) + _EXP_RADII[:, None] * _EXP_ANGLES[None, :]
     values, pole = eval_family_array(family, pts)
-    if pole.any():
-        return math.nan
-    if kind == "pole":
-        mags = np.abs(values)
-    else:
-        mags = np.abs(values - target)
-    if (mags == 0.0).any():
+    mags = np.abs(values - target)
+    if pole.any() or (mags == 0.0).any():
         return math.nan
     y = np.log(mags).mean(axis=1)
     slope, stderr, _ = _linear_fit(np.log(_EXP_RADII), y)

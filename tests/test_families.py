@@ -22,8 +22,9 @@ from speiserdim import (
     square_lattice,
     synthetic_lattice_branches,
 )
-from speiserdim import families
-from speiserdim.families import TAGS, _pole_grid, _pole_table, _poles_up_to_count
+from speiserdim import elliptic, families
+from speiserdim.families import (TAGS, _asin_q1, _complex, _normalize, _pole_grid, _pole_table,
+                                 _poles_up_to_count)
 
 E1 = square_lattice().e1
 
@@ -469,3 +470,170 @@ def test_results_do_not_depend_on_array_size(family):
     assert _same(values2, np.concatenate([v for v, _, _ in dparts]))
     assert _same(derivs, np.concatenate([d for _, d, _ in dparts]))
     assert np.array_equal(pole2, np.concatenate([p for _, _, p in dparts]))
+
+
+@pytest.mark.parametrize("family", FAMILIES[3:], ids=TAGS[3:])
+def test_arcsin_families_do_not_depend_on_array_size_across_the_far_form(family):
+    # arcsin takes its asymptotic form where max(|Re s|, |Im s|) > 1e8 for
+    # s = lam*z/m; an array holding such points must leave the others' bits
+    # as their size-1 evaluation gives them, at z = +-m/lam exactly too
+    edge = family.m / family.lam
+    z = np.array([edge, -edge, 1j * edge, 0.3 + 0.2j, -2.5 + 1e-9j, 10.0, 1e8 * edge,
+                  -1e8 * edge * (1 + 1j), 1.01e8 * edge + 5.0j, 3e300 - 1e300j, 1e-300 + 1e-300j,
+                  edge * (1 + 1e-15), 0.99999999 * edge * 1e8 * 1j])
+    # at s = 1 the chain rule's sqrt(1 - s^2) is 0: the derivative there is
+    # 0 * inf, an entry under the pole mask
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values, derivs, pole = eval_deriv_array(family, z)
+        for k in range(z.size):
+            v1, d1, p1 = eval_deriv_array(family, z[k:k + 1])
+            assert p1[0] == pole[k]
+            assert _same(v1, values[k:k + 1]) and _same(d1, derivs[k:k + 1]), z[k]
+    assert not pole[2:].any()
+
+
+# ---------------------------------------------------------------------------
+# arcsin of the folded quadrant from real ufuncs
+
+ULP = 2.0 ** -52
+
+
+def _assert_asin_matches_numpy(x, y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    with np.errstate(all="raise"):
+        re, im, c, delta = _asin_q1(x, y)
+    want = np.arcsin(x + 1j * y)
+    tol = 8 * ULP * np.maximum(1.0, np.abs(want))
+    assert np.all(np.abs(re - want.real) <= tol), (x, y)
+    assert np.all(np.abs(im - want.imag) <= tol), (x, y)
+    # c - i*delta is sqrt(1 - s^2), from the same branch as the value
+    assert np.all(c >= 0.0) and np.all(delta >= 0.0)
+    return re, im, c, delta
+
+
+quadrant = st.floats(min_value=0.0, max_value=1e300, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(quadrant, quadrant), min_size=1, max_size=8))
+def test_asin_q1_matches_numpy_arcsin(points):
+    x, y = np.array(points).T
+    _assert_asin_matches_numpy(x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=-300.0, max_value=300.0), st.floats(min_value=0.0, max_value=PI / 2))
+def test_asin_q1_matches_numpy_arcsin_at_every_magnitude(exponent, angle):
+    r = 10.0 ** exponent
+    _assert_asin_matches_numpy([r * math.cos(angle)], [r * math.sin(angle)])
+
+
+def test_asin_q1_fixed_cases():
+    mags = 10.0 ** np.arange(-300, 301, 25.0)
+    zero = np.zeros_like(mags)
+    _assert_asin_matches_numpy(mags, zero)  # the real axis, across the cut at 1
+    _assert_asin_matches_numpy(zero, mags)  # the imaginary axis
+    _assert_asin_matches_numpy(mags, mags)
+    _assert_asin_matches_numpy([1e-300, 1e300, 0.5, 1e8, 1.0000001e8], [1e300, 1e-300, 1e300, 1e8, 0.0])
+    # s = 1 exactly, and points within 1e-200 of it
+    re, im, c, delta = _assert_asin_matches_numpy([1.0, 1.0, 1.0, 1.0 - ULP / 2, 1.0 + ULP],
+                                                  [0.0, 1e-200, 5e-324, 1e-200, 1e-250])
+    assert re[0] == PI / 2 and im[0] == 0.0 and c[0] == 0.0 and delta[0] == 0.0
+    # sqrt(1 - s^2) = 1e-100 (1 - i) at s = 1 + 1e-200 i, though its square underflows
+    assert c[1] == pytest.approx(1e-100, rel=1e-15) and delta[1] == pytest.approx(1e-100, rel=1e-15)
+    # inside [0, 1] arcsin is real, exactly
+    x = np.linspace(0.0, 1.0, 1001)
+    re, im, _, _ = _assert_asin_matches_numpy(x, np.zeros_like(x))
+    assert np.all(im == 0.0)
+
+
+def test_asin_q1_takes_the_upper_limit_on_the_cut():
+    # on x > 1, y = +0 the value and the root are the limits from the upper
+    # half-plane, as the module docstring states
+    x = np.array([1.0 + ULP, 1.5, 9.0, 1e7, 2e8, 1e300])
+    on_cut = _asin_q1(x, np.zeros_like(x))
+    above = _asin_q1(x, np.full_like(x, 1e-200))
+    for a, b in zip(on_cut, above):
+        assert np.allclose(a, b, rtol=1e-15, atol=1e-150)
+    assert np.all(on_cut[1] > 0.0)
+
+
+@pytest.mark.parametrize("family", FAMILIES[3:], ids=TAGS[3:])
+def test_arcsin_families_derivative_matches_the_value_beyond_the_cut(family):
+    # on the real axis beyond m/lam the derivative comes from the same branch
+    # as the value: a central difference along the axis agrees with it
+    x = np.array([1.2, 1.5, 3.0]) * family.m / family.lam
+    _, derivs, pole = eval_deriv_array(family, x)
+    h = 1e-6 * x
+    forward, _ = eval_family_array(family, x + h)
+    backward, _ = eval_family_array(family, x - h)
+    assert not pole.any()
+    assert np.allclose(derivs, (forward - backward) / (2 * h), rtol=1e-6, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# The fold, the wp argument from parts, the cell reduction and p = 1 keep
+# the bits of their earlier forms
+
+
+def _fold_with_where_and_conj(z):
+    negated = np.signbit(z.real)
+    zn = np.where(negated, -z, z)
+    conjugated = np.signbit(zn.imag)
+    zn = np.where(conjugated, np.conj(zn), zn)
+    return zn.real, zn.imag, negated, conjugated
+
+
+def _wp_argument_by_complex_arithmetic(family, x, y):
+    zn = _complex(x, y)
+    return (PI * zn / 2.0 + 0.5j * PI) if family.tag == "FMax" else (zn + 0.5j * PI), None
+
+
+def _reduce_by_gather_and_scatter(z):
+    z = np.array(z, dtype=complex, copy=True)
+    for _ in range(8):
+        out = (np.abs(z.real) > PI / 2 + 1e-12) | (np.abs(z.imag) > PI / 2 + 1e-12)
+        if not out.any():
+            break
+        zz = z[out]
+        z[out] = zz - PI * (np.floor(zz.real / PI + 0.5) + 1j * np.floor(zz.imag / PI + 0.5))
+    return z
+
+
+def _value_by_complex_power(family, v):
+    g = np.square(v / E1)
+    if family.tag == "FMax":
+        return 1j * g
+    if family.tag == "G":
+        return g
+    return family.eta * g ** family.p
+
+
+SIGNED = np.array([0.0, -0.0, math.inf, -math.inf, 1.5, -1.5])
+FOLD_POINTS = np.concatenate([
+    _complex(SIGNED[:, None], SIGNED[None, :]).ravel(),
+    _complex(*np.random.default_rng(4).uniform(-40.0, 40.0, (2, 500))),
+])
+
+
+def test_fold_equals_the_where_and_conj_fold_bitwise():
+    x, y, negated, conjugated = _normalize(FOLD_POINTS)
+    want_x, want_y, want_negated, want_conjugated = _fold_with_where_and_conj(FOLD_POINTS)
+    assert _same(x, want_x) and _same(y, want_y)
+    assert np.array_equal(negated, want_negated) and np.array_equal(conjugated, want_conjugated)
+
+
+@pytest.mark.parametrize("family", [MapFamily(tag="G"), MapFamily(tag="FMax"), MapFamily(tag="H"),
+                                    MapFamily(tag="H", p=2)], ids=["G", "FMax", "H", "H-p2"])
+def test_elliptic_families_keep_the_bits_of_the_earlier_kernel(monkeypatch, family):
+    axis = np.linspace(-12.0, 12.0, 97)
+    z = np.concatenate([(axis[None, :] + 1j * axis[:, None]).ravel(), FOLD_POINTS[36:],
+                        np.array([0j, PI / 2, 0.5j * PI, 1e6 + 3e5j, -7e12 + 1j])])
+    values, derivs, pole = eval_deriv_array(family, z)
+    monkeypatch.setattr(families, "_normalize", _fold_with_where_and_conj)
+    monkeypatch.setattr(families, "_wp_argument", _wp_argument_by_complex_arithmetic)
+    monkeypatch.setattr(families, "_value_from_wp", _value_by_complex_power)
+    monkeypatch.setattr(elliptic, "_reduce_array", _reduce_by_gather_and_scatter)
+    want_values, want_derivs, want_pole = eval_deriv_array(family, z)
+    assert np.array_equal(pole, want_pole)
+    assert _same(values, want_values) and _same(derivs, want_derivs)
