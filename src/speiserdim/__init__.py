@@ -11,6 +11,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .sphere import ExtendedComplex, INFINITY
 from .elliptic import (
     PI,
+    SpeiserdimError,
     eisenstein_g4,
     square_lattice,
     wp,

@@ -22,12 +22,8 @@ from .config import (
     validate_config,
 )
 from .dimension import (
-    BasePoleError,
-    ContractionViolationError,
     DegenerateMultiplierError,
-    DegenerateSystemError,
     IFSBranchSet,
-    InsufficientPolesError,
     UndefinedDimensionError,
     box_counting,
     check_box_scales,
@@ -43,7 +39,6 @@ from .dimension import (
     synthetic_lattice_branches,
 )
 from .dynamics import (
-    LinearizationDomainError,
     NoAttractingFixedPointError,
     basin_radius,
     find_attracting_fixed_point,
@@ -51,7 +46,7 @@ from .dynamics import (
     koenigs_value,
     render,
 )
-from .elliptic import PI, _wp_array, eisenstein_g4, square_lattice, wp, wp_direct_sum, wp_prime
+from .elliptic import PI, SpeiserdimError, _wp_array, eisenstein_g4, square_lattice, wp, wp_direct_sum, wp_prime
 from .families import (
     MapFamily,
     PoleRangeError,
@@ -61,18 +56,6 @@ from .families import (
     eval_family_array,
     local_exponent,
     nearest_pole,
-)
-
-_COMMAND_ERRORS = (
-    NoAttractingFixedPointError,
-    LinearizationDomainError,
-    PoleRangeError,
-    DegenerateSystemError,
-    ContractionViolationError,
-    InsufficientPolesError,
-    UndefinedDimensionError,
-    DegenerateMultiplierError,
-    BasePoleError,
 )
 
 # the domain failures of one sweep row; any other error ends the sweep
@@ -501,10 +484,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except _COMMAND_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SpeiserdimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .elliptic import SpeiserdimError
 from .families import TAGS, MapFamily
-from .dimension import check_branch_radii
+from .dimension import DEFAULT_BRANCH_SAMPLES, DEFAULT_SERIES_T_HI, check_branch_radii
 from .dynamics import GridSpec
 
 
-class ConfigError(ValueError):
+class ConfigError(SpeiserdimError, ValueError):
     """Malformed config text, unknown key, or invalid value."""
 
 
@@ -48,11 +49,11 @@ class ExperimentConfig:
     branch_base_index: int = 0  # 0 selects the base pole automatically
     branch_r0: float = 0.24
     branch_r1: float = 0.9
-    branch_samples: int = 64
+    branch_samples: int = DEFAULT_BRANCH_SAMPLES
     # upper-bound pipeline
     pole_radius: float = 40.0
     series_radius: float = 1e80
-    series_t_hi: float = 4.0
+    series_t_hi: float = DEFAULT_SERIES_T_HI
     # box counting ("" = derive dyadic scales from the resolution)
     box_scales: str = ""
     # run plumbing; threads is accepted from existing config files and has

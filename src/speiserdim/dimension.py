@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .elliptic import SpeiserdimError
 from .families import (
     MapFamily,
     POLE_DTYPE,
@@ -39,29 +40,33 @@ from .families import (
 
 PI = math.pi
 _CHUNK_POINTS = 4096  # (branch, sample) points per inversion: bounds the size of its arrays
+# defaults of estimate_branch_contractions and series_exponent, and of the config keys
+# branch_samples and series_t_hi
+DEFAULT_BRANCH_SAMPLES = 64
+DEFAULT_SERIES_T_HI = 4.0
 
 
-class DegenerateSystemError(ValueError):
+class DegenerateSystemError(SpeiserdimError, ValueError):
     """Fewer than two usable contraction branches."""
 
 
-class ContractionViolationError(ValueError):
+class ContractionViolationError(SpeiserdimError, ValueError):
     """A branch constant lies outside (0, 1)."""
 
 
-class InsufficientPolesError(ValueError):
+class InsufficientPolesError(SpeiserdimError, ValueError):
     """Too few poles to estimate the tail decay of the series."""
 
 
-class UndefinedDimensionError(ValueError):
+class UndefinedDimensionError(SpeiserdimError, ValueError):
     """Box counting was asked about an empty target set."""
 
 
-class DegenerateMultiplierError(ValueError):
+class DegenerateMultiplierError(SpeiserdimError, ValueError):
     """Multiplier magnitude 0, 1, or above 1: no dilatation bound applies."""
 
 
-class BasePoleError(ValueError):
+class BasePoleError(SpeiserdimError, ValueError):
     """No admissible base pole, or a base index outside 1 <= M < branch_count."""
 
 
@@ -214,7 +219,7 @@ def estimate_branch_contractions(
     N: int,
     r0: float,
     r1: float,
-    boundary_samples: int = 64,
+    boundary_samples: int = DEFAULT_BRANCH_SAMPLES,
 ) -> IFSBranchSet:
     """Measured contraction constants for the inverse branches of f^2.
 
@@ -276,20 +281,19 @@ def series_terms(poles, t: float) -> np.ndarray:
     return (poles["coeff_magnitude"] / mod / mod ** (1.0 / poles["multiplicity"].max())) ** t
 
 
-def _increment_ratio(terms: np.ndarray) -> float:
-    n = terms.size
-    s = np.cumsum(terms)
-    d1 = float(s[n - 1] - s[n // 2 - 1])
-    d0 = float(s[n // 2 - 1] - s[n // 4 - 1])
-    if d0 <= 0.0:
-        return 0.0
-    return d1 / d0
+def _increment_ratio(bases: np.ndarray, t: float) -> float:
+    """(S(n) - S(n/2)) / (S(n/2) - S(n/4)) for the partial sums S of bases ** t, from
+    the two slice sums; the first quarter of the bases is never raised to t."""
+    n = bases.size
+    d0 = float(np.sum(bases[n // 4:n // 2] ** t))
+    d1 = float(np.sum(bases[n // 2:] ** t))
+    return d1 / d0 if d0 > 0.0 else 0.0
 
 
 _RATIO_MARGIN = 0.9
 
 
-def series_exponent(poles, t_hi: float = 4.0) -> DimensionEstimate:
+def series_exponent(poles, t_hi: float = DEFAULT_SERIES_T_HI) -> DimensionEstimate:
     """Infimum-of-convergence exponent of the pole series, with margins.
 
     Point estimate: bisection on increment ratio = 1.  Uncertainty interval:
@@ -301,11 +305,11 @@ def series_exponent(poles, t_hi: float = 4.0) -> DimensionEstimate:
         raise InsufficientPolesError(f"{poles.size} poles; need at least 20")
     bases = series_terms(poles, 1.0)  # x ** 1.0 == x: bases ** t is series_terms bitwise
     t_min = 1e-3
-    r_min = _increment_ratio(bases ** t_min)
-    r_max = _increment_ratio(bases ** t_hi)
+    r_min = _increment_ratio(bases, t_min)
+    r_max = _increment_ratio(bases, t_hi)
 
     def ratio_root(level: float) -> float:  # the ratio decreases in t
-        return _bisect(lambda t: _increment_ratio(bases ** t) > level, t_min, t_hi, 1e-4)
+        return _bisect(lambda t: _increment_ratio(bases, t) > level, t_min, t_hi, 1e-4)
 
     if r_min <= 1.0:
         value = 0.0 if r_min < 1.0 else t_min

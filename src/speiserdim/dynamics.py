@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .elliptic import SpeiserdimError
 from .families import MapFamily, eval_deriv_array, eval_family, eval_family_array
 
 CODE_JULIA = -1
@@ -45,12 +46,12 @@ DEFAULT_GUARD_EXITS = 3
 _CYCLE_STABLE_STEPS = 5
 
 
-class NoAttractingFixedPointError(RuntimeError):
+class NoAttractingFixedPointError(SpeiserdimError, RuntimeError):
     """No sign change of f(x) - x on the bracket, a pole inside it, or a repelling root."""
 
 
-class LinearizationDomainError(RuntimeError):
-    """Koenigs iteration failed: the orbit left the linearization domain."""
+class LinearizationDomainError(SpeiserdimError, RuntimeError):
+    """No Koenigs coordinate: the orbit hit a pole or did not settle within 400 steps."""
 
 
 @dataclass(frozen=True)
@@ -94,11 +95,6 @@ class GridSpec:
         ys = _axis(self.center.imag + self.half_width, self.center.imag - self.half_width,
                    self.resolution, self.center.imag == 0)
         return xs, ys
-
-    def pixel_centers(self) -> np.ndarray:
-        """All pixel centres, xs + 1j*ys over `axes`, top row first."""
-        xs, ys = self.axes()
-        return xs[None, :] + 1j * ys[:, None]
 
 
 def _axis(start: float, stop: float, n: int, centred: bool) -> np.ndarray:
@@ -322,58 +318,32 @@ def render(
     return RasterResult(grid=grid, family=family, codes=codes)
 
 
-def koenigs_value(
-    family: MapFamily,
-    fp: FixedPointData,
-    z: complex,
-    tol: float = 1e-10,
-    max_steps: int = 400,
-) -> complex:
-    """Limit of multiplier^(-n) * (f^n(z) - fixed point).
+def koenigs_value(family: MapFamily, fp: FixedPointData, z: complex) -> complex:
+    """Koenigs coordinate phi(z), the limit of (f^n(z) - fp) / multiplier^n.
 
-    Successive values first converge at the multiplier's rate, then float
-    noise (amplified like |multiplier|^-n) takes over; the iteration stops at
-    the first difference below tol or at the noise floor, whichever comes
-    first, and fails loudly if neither happens.  Growing differences count
-    toward the floor only within 1e-3 of the fixed point: farther out the map's
-    transient makes them grow, while noise overtakes only near sqrt(eps) ~ 1e-8.
+    The quotient at w = f^n(z) is off the limit by O(|w - fp|) and carries
+    rounding amplified by |multiplier|^-n; both are about sqrt(eps) once
+    |w - fp| <= 1e-8, so the first such iterate (z itself included) gives phi.
+    Raises LinearizationDomainError when the multiplier is not in (0, 1) in
+    modulus, the orbit hits a pole, 400 steps pass, or the last two quotients
+    still differ by 1e-6, as they do when the multiplier is not f'(fp).
     """
-    zeta = fp.location
-    mult = fp.multiplier
+    zeta, mult = fp.location, fp.multiplier
     if not 0.0 < abs(mult) < 1.0:
         raise LinearizationDomainError(f"multiplier {mult!r} admits no Koenigs coordinate")
-    cur = complex(z)
-    power = 1.0
-    prev = cur - zeta
-    best = math.inf
-    best_val = prev
-    grew = 0
-    for _ in range(max_steps):
-        v = eval_family(family, cur)
+    w, power, steps = complex(z), 1.0, 0
+    prev = val = w - zeta
+    while abs(w - zeta) > 1e-8:
+        if steps == 400:
+            raise LinearizationDomainError("Koenigs iteration exhausted its 400 steps")
+        v = eval_family(family, w)
         if v.at_infinity:
             raise LinearizationDomainError("orbit hit a pole before the Koenigs limit converged")
-        cur = v.value
-        power *= mult
-        val = (cur - zeta) / power
-        diff = abs(val - prev)
-        prev = val
-        if diff < best:
-            best = diff
-            best_val = val
-            grew = 0
-        elif abs(cur - zeta) < 1e-3:
-            grew += 1
-        if diff < tol:
-            return val
-        if grew >= 5:
-            if best < 1e-6:
-                return best_val
-            raise LinearizationDomainError(
-                f"Koenigs iteration diverged; best successive difference {best:g}"
-            )
-    if best < 1e-6:
-        return best_val
-    raise LinearizationDomainError("Koenigs iteration exhausted its step budget")
+        w, power, prev, steps = v.value, power * mult, val, steps + 1
+        val = (w - zeta) / power
+    if abs(val - prev) >= 1e-6:
+        raise LinearizationDomainError(f"Koenigs quotients still move by {abs(val - prev):g}")
+    return val
 
 
 def basin_radius(family: MapFamily, fp: FixedPointData, guard_modulus: float) -> float:

@@ -45,6 +45,10 @@ _INF = complex(math.inf, 0.0)
 _DIRECT_SUM_ROWS = 64
 
 
+class SpeiserdimError(Exception):
+    """Root of the package's named errors; each also keeps its builtin base."""
+
+
 @lru_cache(maxsize=1)
 def eisenstein_g4() -> float:
     """Weight-4 lattice sum  G4 = sum over nonzero lattice points of w^-4.

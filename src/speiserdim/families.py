@@ -60,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elliptic import PI, square_lattice, _wp_array
+from .elliptic import PI, SpeiserdimError, square_lattice, _wp_array
 from .sphere import INFINITY, ExtendedComplex
 
 TAGS = ("G", "FMax", "H", "Hm", "FLambda")
@@ -71,7 +71,7 @@ _RADIUS_LIMIT = 1e306
 _COUNT_LIMIT = 3_000_000
 
 
-class PoleRangeError(ValueError):
+class PoleRangeError(SpeiserdimError, ValueError):
     """Requested pole-enumeration radius exceeds representable coordinates."""
 
 
@@ -203,7 +203,11 @@ def _derivative_from_wp(family: MapFamily, root, v: np.ndarray, vp: np.ndarray) 
         g = np.square(v / e1)
         out = np.multiply(family.eta * family.p * g ** (family.p - 1), dg)
     if root is not None:
-        out = np.multiply(out, _arcsin_scale(family) / _complex(root[0], -root[1]))
+        # the root is 0 only at s = 1, a zero of order 2p, where f' = 0
+        c, delta = root
+        at_one = (c == 0.0) & (delta == 0.0)
+        out = np.multiply(out, _arcsin_scale(family) / _complex(np.where(at_one, 1.0, c), -delta))
+        out = np.where(at_one, 0.0, out)
     return out
 
 
@@ -296,12 +300,13 @@ def _pole_grid(family: MapFamily, radius: float) -> tuple[float, np.ndarray, np.
 def _pole_table(family: MapFamily, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Poles a with |a| <= radius, sorted by (|a|, real part, imaginary part),
     and their coefficients b, the principal q-th roots of the b^q tabled in
-    the module docstring, built on the grid of _pole_grid."""
+    the module docstring, built on the grid of _pole_grid.  For G, H and FMax
+    c, and so b, is one number: b comes back as a read-only broadcast of it."""
     _, x, y = _pole_grid(family, radius)
     if family.tag in ("G", "H", "FMax"):
         a = _complex(x[None, :], y[:, None]).ravel()
         a = a[np.hypot(a.real, a.imag) <= radius]
-        c = np.full(a.shape, 2.0 / PI if family.tag == "FMax" else 1.0, dtype=complex)
+        c = np.complex128(2.0 / PI if family.tag == "FMax" else 1.0)
     else:
         m, scale = family.m, _arcsin_scale(family)
         w = _complex(x[None, :] / m, y[:, None] / m).ravel()
@@ -312,14 +317,14 @@ def _pole_table(family: MapFamily, radius: float) -> tuple[np.ndarray, np.ndarra
         a, c = np.concatenate([a, np.conj(a)]), np.concatenate([c, np.conj(c)])
         a = _complex(a.real / scale, a.imag / scale)
     order = np.lexsort((a.imag, a.real, np.hypot(a.real, a.imag)))
-    a, c = a[order], c[order]
+    a, c = a[order], c[order] if c.ndim else c
     # b is the principal q-th root of K * c^q; its argument comes from the
     # unit vector c/|c|, so that c^q never overflows
     q, mag = family.pole_multiplicity, np.hypot(c.real, c.imag)
     size = mag * (1.0 if family.tag in ("G", "FMax") else family.eta ** (1.0 / q))
     size /= math.sqrt(square_lattice().e1)
     turn = np.angle((1j if family.tag == "FMax" else 1.0) * (c / mag) ** q) / q
-    return a, _complex(size * np.cos(turn), size * np.sin(turn))
+    return a, np.broadcast_to(_complex(size * np.cos(turn), size * np.sin(turn)), a.shape)
 
 
 def enumerate_poles(family: MapFamily, radius: float) -> np.recarray:

@@ -1,5 +1,8 @@
 """Config parsing and the command-line front end."""
+import importlib
+import inspect
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -8,11 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import speiserdim
 from speiserdim import (
     ConfigError,
     ExperimentConfig,
     GridSpec,
     MapFamily,
+    SpeiserdimError,
     load_config,
     parse_config,
     serialize_config,
@@ -20,7 +25,13 @@ from speiserdim import (
 from speiserdim import cli
 from speiserdim.cli import main
 from speiserdim.config import validate_config
-from speiserdim.dimension import box_counting
+from speiserdim.dimension import (
+    DEFAULT_BRANCH_SAMPLES,
+    DEFAULT_SERIES_T_HI,
+    box_counting,
+    estimate_branch_contractions,
+    series_exponent,
+)
 from speiserdim.dynamics import LinearizationDomainError
 
 
@@ -111,10 +122,18 @@ def test_config_defaults_come_from_the_objects():
     cfg = ExperimentConfig()
     assert cfg.to_family() == MapFamily(tag="FLambda")
     assert cfg.to_grid() == GridSpec()
+    defaults = {
+        (estimate_branch_contractions, "boundary_samples"): (cfg.branch_samples, DEFAULT_BRANCH_SAMPLES),
+        (series_exponent, "t_hi"): (cfg.series_t_hi, DEFAULT_SERIES_T_HI),
+    }
+    for (function, name), (value, constant) in defaults.items():
+        assert inspect.signature(function).parameters[name].default is constant
+        assert value is constant
     text = serialize_config(cfg)
     for line in ("p = 1", "eta = 0.3", "m = 9", "lam = 1.0", "grid_center_re = 0.0",
                  "grid_center_im = 0.0", "grid_half_width = 2.0", "grid_resolution = 512",
-                 "max_iterations = 500", "attraction_tol = 1e-06"):
+                 "max_iterations = 500", "attraction_tol = 1e-06", "branch_samples = 64",
+                 "series_t_hi = 4.0"):
         assert line in text.splitlines()
 
 
@@ -324,10 +343,29 @@ def test_cli_program_errors_propagate_from_main(monkeypatch, error):
         main(["verify"])
 
 
-def test_cli_exit_1_errors_are_named_speiserdim_errors():
-    for error in cli._COMMAND_ERRORS:
-        assert isinstance(error, type) and issubclass(error, Exception)
-        assert error.__module__.startswith("speiserdim."), error
+def _package_errors():
+    """Every exception class defined in a speiserdim module."""
+    for info in pkgutil.iter_modules(speiserdim.__path__):
+        module = importlib.import_module(f"speiserdim.{info.name}")
+        for obj in vars(module).values():
+            if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__:
+                yield obj
+
+
+def test_cli_exit_1_errors_are_named_speiserdim_errors(monkeypatch, capsys):
+    errors = list(_package_errors())
+    # the root, ConfigError, PoleRangeError, six in dimension and two in dynamics
+    assert len(errors) == 11
+    for error in errors:
+        assert issubclass(error, SpeiserdimError), error
+        assert error is SpeiserdimError or issubclass(error, (ValueError, RuntimeError)), error
+
+        def broken(*args, error=error):
+            raise error("named failure")
+
+        monkeypatch.setitem(cli._COMMANDS, "verify", broken)
+        assert main(["verify"]) == (2 if error is ConfigError else 1), error
+        assert "named failure" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, key", [

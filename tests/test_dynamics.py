@@ -36,6 +36,12 @@ FAM = MapFamily(tag="FLambda", lam=1.0, m=9, p=1, eta=0.3)
 FP = find_attracting_fixed_point(1.0, 9, 1, 0.3)
 
 
+def centers(grid):
+    """All pixel centres over GridSpec.axes(), top row first, as render starts its orbits."""
+    xs, ys = grid.axes()
+    return xs[None, :] + 1j * ys[:, None]
+
+
 def classify_point(z, tol=1e-6):
     """Code of one starting point: render's step-0 rule, then the block iterator it uses."""
     if np.abs(complex(z) - FP.location) < tol:
@@ -169,7 +175,7 @@ def test_grid_validation():
 
 def test_pixel_centers_layout():
     grid = GridSpec(center=1 - 1j, half_width=2.0, resolution=5)
-    pts = grid.pixel_centers()
+    pts = centers(grid)
     assert pts.shape == (5, 5)
     assert pts[0, 0] == pytest.approx(-1 + 1j)  # top-left
     assert pts[-1, -1] == pytest.approx(3 - 3j)  # bottom-right
@@ -178,7 +184,7 @@ def test_pixel_centers_layout():
 
 @pytest.mark.parametrize("n", [5, 6, 512])
 def test_pixel_centers_mirror_exactly_on_centred_axes(n):
-    pts = GridSpec(center=0j, half_width=2.0, resolution=n).pixel_centers()
+    pts = centers(GridSpec(center=0j, half_width=2.0, resolution=n))
     xs, ys = pts[0].real, pts[:, 0].imag
     assert np.array_equal(pts.real, np.broadcast_to(xs, (n, n)))
     assert np.array_equal(pts.imag, np.broadcast_to(ys[:, None], (n, n)))
@@ -187,14 +193,14 @@ def test_pixel_centers_mirror_exactly_on_centred_axes(n):
         if n % 2:
             assert axis[n // 2] == 0.0 and not np.signbit(axis[n // 2])
     # off-centre axes are np.linspace, unchanged
-    pts = GridSpec(center=0.3 - 0.7j, half_width=2.0, resolution=n).pixel_centers()
+    pts = centers(GridSpec(center=0.3 - 0.7j, half_width=2.0, resolution=n))
     assert np.array_equal(pts[0].real, np.linspace(0.3 - 2.0, 0.3 + 2.0, n))
     assert np.array_equal(pts[:, 0].imag, np.linspace(-0.7 + 2.0, -0.7 - 2.0, n))
 
 
 def _full_grid_codes(grid, family, fp, guard, cycle_periods=3):
     """Every pixel iterated, in one call, at the same centres as render, then step 0 tested."""
-    pts = grid.pixel_centers()
+    pts = centers(grid)
     codes = _iterate_block(pts, family, fp, grid.max_iterations,
                            grid.attraction_tol, guard[0], guard[1], cycle_periods)
     codes = codes.reshape(grid.resolution, grid.resolution)
@@ -263,7 +269,7 @@ def test_symmetric_render_over_several_blocks(threads):
 ], ids=["fixed-point", "cycle", "budget"])
 def test_render_codes_do_not_depend_on_the_block_size(monkeypatch, family, fp, grid, guard):
     if fp is not None:
-        assert (np.abs(grid.pixel_centers() - fp.location) < grid.attraction_tol).any()
+        assert (np.abs(centers(grid) - fp.location) < grid.attraction_tol).any()
     point_steps = [0]
 
     def counted(family, z):
@@ -362,6 +368,48 @@ def test_koenigs_rejects_orbits_that_leave_the_domain():
         koenigs_value(FAM, FP, nearest_pole(FAM).location)
 
 
+def _second_order_koenigs(family, fp, z):
+    """phi(z) from phi(w) = u + a2 u^2 + O(u^3), u = w - fp, a2 = f''(fp) / (2 mu (1 - mu)),
+    read at the first iterate with |u| <= 1e-5: truncation and rounding stay near 1e-9."""
+    zeta, mu, h = fp.location, fp.multiplier, 1e-6
+    _, d, _ = eval_deriv_array(family, [zeta + h, zeta - h])
+    a2 = (d[0] - d[1]).real / (2.0 * h) / (2.0 * mu * (1.0 - mu))
+    w, power = complex(z), 1.0
+    while abs(w - zeta) > 1e-5:
+        w, power = eval_family(family, w).value, power * mu
+    return ((w - zeta) + a2 * (w - zeta) ** 2) / power
+
+
+@pytest.mark.parametrize("p, eta, m, lam", [(2, 0.5, 9, 0.9), (3, 0.1, 3, 0.15), (1, 0.3, 9, 1.0)],
+                         ids=["mu-0.911", "mu-0.004", "default"])
+def test_koenigs_value_of_the_singular_value_matches_a_second_order_reference(p, eta, m, lam):
+    # at mu = -0.911 successive quotients never differ by less than about
+    # 4e-6, so a stop on their difference fails; at mu = -0.004 the orbit of 0
+    # lands on fp exactly, so phi(0) must come from an earlier iterate, not 0
+    family = MapFamily(tag="FLambda", lam=lam, m=m, p=p, eta=eta)
+    fp = find_attracting_fixed_point(lam, m, p, eta)
+    phi = koenigs_value(family, fp, 0j)
+    assert phi != 0.0
+    assert abs(phi - _second_order_koenigs(family, fp, 0j)) < 1e-6
+
+
+def test_koenigs_value_gives_up_where_the_orbit_is_too_slow():
+    # |mu| = 0.996: after 400 steps the orbit of 0 is still 6e-3 from fp, and
+    # its quotients are about 2% above the limit (3,602 steps reach 1e-8);
+    # such a value would widen the basin disk past what is proven
+    family = MapFamily(tag="FLambda", lam=0.8, m=3, p=3, eta=0.5)
+    fp = find_attracting_fixed_point(0.8, 3, 3, 0.5)
+    with pytest.raises(LinearizationDomainError, match="400 steps"):
+        koenigs_value(family, fp, 0j)
+    assert basin_radius(family, fp, 30.0) == 0.0
+
+
+@pytest.mark.parametrize("factor", [1.001, 0.999])
+def test_koenigs_value_rejects_a_multiplier_that_is_not_the_derivative(factor):
+    with pytest.raises(LinearizationDomainError, match="quotients still move"):
+        koenigs_value(FAM, replace(FP, multiplier=FP.multiplier * factor), 0j)
+
+
 # the lambdas of the default sweep, of verify's multiplier scan and of
 # acceptance criteria 06 and 09
 SWEEP_LAMBDAS = sorted({float(x) for x in np.concatenate([
@@ -369,8 +417,8 @@ SWEEP_LAMBDAS = sorted({float(x) for x in np.concatenate([
 ])})
 
 
-# (p, eta, m) and lambdas with an attracting fixed point; the last two
-# have |multiplier| 0.64-0.89, where the orbit of 0 nears fp slowly
+# (p, eta, m) and lambdas with an attracting fixed point; the last three
+# have |multiplier| 0.64-0.91, where the orbit of 0 nears fp slowly
 BASIN_PARAMS = [
     (1, 0.3, 9, SWEEP_LAMBDAS),
     (2, 0.3, 9, SWEEP_LAMBDAS),
@@ -378,6 +426,7 @@ BASIN_PARAMS = [
     (1, 0.5, 1, SWEEP_LAMBDAS),
     (3, 0.6, 5, (0.45, 0.5, 0.55, 0.6)),
     (2, 0.8, 3, (0.45, 0.5, 0.55)),
+    (2, 0.5, 9, (0.9,)),
 ]
 
 

@@ -481,15 +481,25 @@ def test_arcsin_families_do_not_depend_on_array_size_across_the_far_form(family)
     z = np.array([edge, -edge, 1j * edge, 0.3 + 0.2j, -2.5 + 1e-9j, 10.0, 1e8 * edge,
                   -1e8 * edge * (1 + 1j), 1.01e8 * edge + 5.0j, 3e300 - 1e300j, 1e-300 + 1e-300j,
                   edge * (1 + 1e-15), 0.99999999 * edge * 1e8 * 1j])
-    # at s = 1 the chain rule's sqrt(1 - s^2) is 0: the derivative there is
-    # 0 * inf, an entry under the pole mask
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values, derivs, pole = eval_deriv_array(family, z)
-        for k in range(z.size):
-            v1, d1, p1 = eval_deriv_array(family, z[k:k + 1])
-            assert p1[0] == pole[k]
-            assert _same(v1, values[k:k + 1]) and _same(d1, derivs[k:k + 1]), z[k]
-    assert not pole[2:].any()
+    values, derivs, pole = eval_deriv_array(family, z)
+    for k in range(z.size):
+        v1, d1, p1 = eval_deriv_array(family, z[k:k + 1])
+        assert p1[0] == pole[k]
+        assert _same(v1, values[k:k + 1]) and _same(d1, derivs[k:k + 1]), z[k]
+    assert not pole.any()
+
+
+@pytest.mark.parametrize("tag, lam", [("Hm", 1.0), ("FLambda", 0.8)])
+@pytest.mark.parametrize("p", [1, 2])
+def test_derivative_is_zero_at_the_arcsin_branch_points(tag, lam, p):
+    # z = +-m/lam gives s = 1, where sqrt(1 - s^2) = 0 and f has a zero of
+    # order 2p: f' = 0 there, with no division by the zero root
+    family = MapFamily(tag=tag, m=9, p=p, lam=lam)
+    z = np.array([family.m / family.lam, -family.m / family.lam], dtype=complex)
+    with np.errstate(all="raise"):
+        _, derivs, pole = eval_deriv_array(family, z)
+        _, value_pole = eval_family_array(family, z)
+    assert np.array_equal(derivs, np.zeros(2)) and np.array_equal(pole, value_pole)
 
 
 # ---------------------------------------------------------------------------
