@@ -15,10 +15,12 @@ sqrt(15*G4) is the correctly rounded lemniscatic constant
 Gamma(1/4)^4 / (8 pi^3).  Direct lattice summation (`wp_direct_sum`, one
 term per quarter-turn orbit {w, i*w, -w, -i*w}) is the independent oracle of
 `verify` and the tests, never on the production path.  Production evaluation
-reduces the argument to the fundamental cell and sums the Laurent expansion
-about the nearest lattice point; the expansion order is chosen so the
-analytic tail bound stays below 1e-10 at the corner of the cell (the worst
-case |z| = pi/sqrt(2)).
+halves the argument, reduced to the cell, and sums ten Laurent terms of
+P = wp(z/2), whose tail bound at |z/2| <= pi/(2 sqrt 2) is below 1e-13 (the
+cell corner needs 27).  The g3 = 0 duplication formula (DLMF 23.10) doubles
+back as one fraction, wp(z) = (P^2 + e1^2)^2 / (4P(P^2 - e1^2)); the textbook
+-2P + (wp''/(2 wp'))^2 cancels near the pole.  No denominator vanishes: wp(u)
+is +-e1 only at pi/2, i*pi/2 and 0 only at the corners, all beyond |u| = 1.11.
 
 Within POLE_CUTOFF of a lattice point the value is dominated by the leading
 Laurent term 1/z^2 beyond any useful precision and is reported as infinite.
@@ -161,15 +163,14 @@ def _laurent_coefficients(g2: float, count: int) -> np.ndarray:
     return c[2::2][:count]
 
 
-def _laurent_order_for(tol: float) -> int:
-    """Number of compressed coefficients so the series tail at the cell corner < tol.
+def _laurent_order_for(tol: float, r: float) -> int:
+    """Number of compressed coefficients so the series tail at |u| = r < tol.
 
     |d_j| is bounded by (4j+3) * sum' |w|^(-4j-4) and the lattice sum is
     dominated by the four nearest points at distance pi, giving
-    |d_j| <= 4.6 * (4j+3) * pi^(-4j-4) for j >= 1; the bound is checked
-    against the computed coefficients in the test suite.
+    |d_j| <= 4.6 * (4j+3) * pi^(-4j-4); the test suite checks the bound
+    against every computed coefficient.
     """
-    r = _CELL_RADIUS
     j = 1
     while True:
         term = 4.6 * (4 * j + 3) * PI ** (-4 * j - 4) * r ** (4 * j + 2)
@@ -192,7 +193,7 @@ class LatticeSpec:
 def square_lattice() -> LatticeSpec:
     e1 = math.sqrt(15.0 * eisenstein_g4())
     g2 = 4.0 * e1 * e1
-    order = _laurent_order_for(1e-13)
+    order = _laurent_order_for(1e-13, _CELL_RADIUS / 2)
     d = _laurent_coefficients(g2, order)
     dd = np.array([(4 * j + 2) * dj for j, dj in enumerate(d)])
     return LatticeSpec(e1=e1, g2=g2, laurent=d, laurent_deriv=dd)
@@ -211,8 +212,8 @@ def _reduce_array(z: np.ndarray) -> np.ndarray:
 
 
 def _horner(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(w)
-    for c in coeffs[::-1]:
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
         acc = acc * w + c
     return acc
 
@@ -228,15 +229,26 @@ def _wp_array(z, derivative: bool = False):
     pole = np.abs(zr) < POLE_CUTOFF
     if np.count_nonzero(pole):
         zr = np.where(pole, 0.5, zr)  # placeholder argument, value discarded by mask
-    u = zr * zr
-    w = u * u
-    # np.multiply, not `*`: from 256 KiB up numpy computes `a * temporary`
-    # in place, and its in-place complex product rounds differently, which
-    # would make every result depend on the size of the array it came in
-    values = 1.0 / u + np.multiply(u, _horner(lat.laurent, w))
-    if not derivative:
-        return values, None, pole
-    return values, -2.0 / (u * zr) + np.multiply(zr, _horner(lat.laurent_deriv, w)), pole
+    u = 0.5 * zr  # exact: wp(u) at u = z/2, doubled back below
+    del zr  # few live temporaries, or glibc trims the heap and refaults it per call
+    h = u * u
+    w = h * h
+    # np.multiply and np.divide, not `*` and `/`: from 256 KiB up numpy computes `temporary * b`
+    # in place, rounding complex products differently, so results would depend on array size
+    P = np.multiply(h, _horner(lat.laurent, w)) + 1.0 / h
+    if derivative:  # wp'(u); wp'(z) = wp'(u) F'(P) / 2, F the fraction below
+        dP = np.multiply(u, _horner(lat.laurent_deriv, w)) + -2.0 / (h * u)
+    del h, u, w
+    P2, e1sq = P * P, lat.e1 * lat.e1
+    if derivative:  # one product a statement, each freeing its inputs
+        dP = np.multiply(dP, P2 * P2 - 6.0 * e1sq * P2 + e1sq * e1sq)
+    s, t = P2 + e1sq, P2 - e1sq
+    if derivative:
+        dP = np.multiply(dP, s)
+        P2 = np.multiply(8.0 * P2, t * t)
+        dP = np.divide(dP, P2)
+    del P2
+    return np.divide(s * s, np.multiply(4.0 * P, t)), dP if derivative else None, pole
 
 
 def wp(z: complex) -> complex:

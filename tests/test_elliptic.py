@@ -234,6 +234,72 @@ def test_laurent_head_dominates_near_origin():
         assert wp(z) == pytest.approx(1.0 / (z * z), rel=1e-7)
 
 
+def _coefficient_bound(j):
+    # |d_j| <= 4.6 (4j+3) pi^(-4j-4), the bound of _laurent_order_for's docstring
+    return 4.6 * (4 * j + 3) * PI ** (-4 * j - 4)
+
+
+def test_laurent_coefficients_obey_the_stated_bound():
+    lat = square_lattice()
+    # the production table, and a longer one from the same recursion
+    longer = elliptic._laurent_coefficients(lat.g2, 40)
+    assert np.array_equal(longer[:lat.laurent.size], lat.laurent)
+    for j, d in enumerate(longer):
+        assert abs(d) <= _coefficient_bound(j), j
+
+
+def test_laurent_order_keeps_the_tail_below_its_tolerance_at_the_halved_radius():
+    # wp is summed at u = z/2 with |u| <= pi/(2 sqrt 2); the series left out
+    # after the chosen order is bounded term by term by the coefficient bound
+    r = PI / (2.0 * math.sqrt(2.0))
+    order = square_lattice().laurent.size
+    assert order == elliptic._laurent_order_for(1e-13, r) == 10
+    tail = math.fsum(_coefficient_bound(j) * r ** (4 * j + 2) for j in range(order, 200))
+    assert tail < 1e-13
+    # the order is two terms of margin past the first one whose tail passes:
+    # stopping a term before that one leaves the bound above tolerance
+    assert math.fsum(_coefficient_bound(j) * r ** (4 * j + 2) for j in range(order - 3, 200)) > 1e-13
+
+
+_DIRECTIONS = [complex(math.cos(a), math.sin(a)) for a in (0.0, 0.3, PI / 4, 1.2, PI / 2, 2.5, PI)]
+
+
+@pytest.mark.parametrize("radius", [1e-6, 1e-3, 0.05])
+def test_duplication_formula_near_the_pole(radius):
+    # the halving and the doubling fraction keep wp's relative accuracy where
+    # wp is huge; wp' is checked through wp'^2 = 4 wp^3 - g2 wp with the
+    # direct sum's wp
+    g2 = square_lattice().g2
+    zs = np.array([radius * d for d in _DIRECTIONS])
+    zs = np.concatenate([zs, zs + 1e-9])
+    values, derivs, pole = _wp_array(zs, derivative=True)
+    assert not pole.any()
+    for z, v, d in zip(zs, values, derivs):
+        ref = wp_direct_sum(z, 1e-13)
+        assert abs(v - ref) <= 1e-15 * abs(ref), z
+        rhs = 4.0 * ref ** 3 - g2 * ref
+        assert abs(d * d - rhs) <= 4e-15 * (abs(d) ** 2 + abs(4.0 * ref ** 3) + abs(g2 * ref)), z
+
+
+@pytest.mark.parametrize("half_period, wp_half_period", [(PI / 2, 1.0), (1j * PI / 2, -1.0), ((1 + 1j) * PI / 2, 0.0)])
+def test_duplication_formula_at_the_half_periods(half_period, wp_half_period):
+    # at u = z/2 the half periods sit at |u| = pi/4 and pi/(2 sqrt 2), the
+    # edge of the disk the series covers; (1+i) pi/2 is the zero of wp, so
+    # the bounds there are absolute
+    lat = square_lattice()
+    e_h = wp_half_period * lat.e1
+    zs = np.array([half_period] + [half_period + 1e-9 * d for d in _DIRECTIONS])
+    values, derivs, pole = _wp_array(zs, derivative=True)
+    assert not pole.any()
+    for z, v, d in zip(zs, values, derivs):
+        ref = wp_direct_sum(z, 1e-13)
+        assert abs(v - ref) <= 1e-15, z
+        assert abs(d * d - (4.0 * ref ** 3 - lat.g2 * ref)) <= 1e-15, z
+        # wp' vanishes at the half period and wp''' = 12 wp wp' does too, so
+        # wp'(h + delta) = wp''(h) delta + O(delta^3) with wp'' = 6 wp^2 - g2/2
+        assert abs(d - (6.0 * e_h * e_h - lat.g2 / 2.0) * (z - half_period)) <= 1e-15, z
+
+
 def test_direct_sum_radius_grows_with_tightness():
     assert direct_sum_radius(1.0, 1e-12) > direct_sum_radius(1.0, 1e-6)
     assert direct_sum_radius(10.0, 1e-9) > direct_sum_radius(1.0, 1e-9)
