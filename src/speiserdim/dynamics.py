@@ -113,24 +113,25 @@ def find_attracting_fixed_point(lam: float, m: int, p: int, eta: float) -> Fixed
     The bracket is [0, eta], across which gap(x) = f(x) - x must change sign:
     gap(0) = f(0) = eta > 0, and gap(eta) <= 0 holds for a root however close
     to eta (about 2.8 eta^3 below it for tiny eta).  Each pass takes f and f'
-    at one point from one eval_deriv_array call and moves the bracket end of
-    gap's sign there.  From the right end, the next point is the Newton point
-    x - gap / (f' - 1), or the bracket's midpoint when that point falls
-    outside the bracket (ends included) or its step is over half the last
-    step, so Newton cannot cycle between the ends, as it does near repelling
-    roots.  The search stops after a step of at most 1e-15 + 8.9e-16 |x|
-    (brentq's xtol and rtol); the multiplier is f' from the pass at that x.
+    from one eval_deriv_array call, both ends from one (the kernel rounds
+    alike at every size), and moves the bracket end of gap's sign there.
+    From the right end, the next point is the Newton point x - gap / (f' - 1),
+    or the bracket's midpoint when that point falls outside the bracket (ends
+    included) or its step is over half the last step, so Newton cannot cycle
+    between the ends, as it does near repelling roots.  The search stops after
+    a step of at most 1e-15 + 8.9e-16 |x| (brentq's xtol and rtol); the
+    multiplier is f' from the pass at that x.
     """
     family = MapFamily(tag="FLambda", lam=lam, m=m, p=p, eta=eta)
 
-    def gap(x: float) -> tuple[float, float]:
-        v, d, pole = eval_deriv_array(family, [x])
-        if pole[0]:
-            raise NoAttractingFixedPointError(f"map is infinite at x={x!r} inside the bracket")
-        return float(v[0].real) - x, float(d[0].real)
+    def gaps(*xs: float) -> list[tuple[float, float]]:
+        v, d, pole = eval_deriv_array(family, xs)
+        if pole.any():
+            raise NoAttractingFixedPointError(f"map is infinite at x={xs[pole.argmax()]!r} inside the bracket")
+        return [(float(vi.real) - x, float(di.real)) for x, vi, di in zip(xs, v, d)]
 
     lo, hi = 0.0, eta
-    (g_lo, _), (g, d) = gap(lo), gap(hi)
+    (g_lo, _), (g, d) = gaps(lo, hi)
     if g_lo * g > 0:
         raise NoAttractingFixedPointError(
             f"no attracting fixed point found: f(x) - x has no sign change on ({lo:g}, {hi:g})")
@@ -141,7 +142,7 @@ def find_attracting_fixed_point(lam: float, m: int, p: int, eta: float) -> Fixed
         if not (lo <= nxt <= hi and 2.0 * abs(nxt - x) <= abs(step)):
             nxt = 0.5 * (lo + hi)
         step, x = nxt - x, nxt
-        g, d = gap(x)
+        g, d = gaps(x)[0]
         if g == 0.0 or abs(step) <= 1e-15 + 8.9e-16 * abs(x):
             break
     else:

@@ -111,7 +111,7 @@ def direct_sum_radius(z_modulus: float, tol: float) -> float:
     return hi
 
 
-def wp_direct_sum(z: complex, tol: float = 1e-9) -> complex:
+def wp_direct_sum(z, tol: float = 1e-9) -> complex | list[complex]:
     """Evaluate wp by direct truncated lattice summation with tail bound < tol.
 
     The lattice points with 0 < |w| <= R enter
@@ -123,23 +123,38 @@ def wp_direct_sum(z: complex, tol: float = 1e-9) -> complex:
     so one representative w = pi*(j + i*k), j >= 1, k >= 0, stands for its
     orbit.  The disk is invariant under the quarter turn, so the same points
     enter as in the plain sum and the tail bound of `direct_sum_radius` holds
-    unchanged.  The quadrant is summed in blocks of _DIRECT_SUM_ROWS rows, so
-    memory stays bounded however small tol is.  Independent of the Laurent
-    path, whose oracle it is; infinite within POLE_CUTOFF of any lattice
-    point, the rule `wp` uses.
+    unchanged.  The quadrant is summed in blocks of _DIRECT_SUM_ROWS rows, one
+    alive at a time, so memory stays bounded however small tol is.  A sequence
+    of points is a batch and gives a list (a scalar is a batch of one): each
+    block and its moduli are built once, to the largest R, and each point sums
+    the part within its own R as alone, so with the same bits.  Independent
+    of the Laurent path, whose oracle it is; infinite within POLE_CUTOFF of
+    any lattice point, the rule `wp` uses.
     """
-    z = complex(z)
-    R = direct_sum_radius(abs(z), 0.5 * tol)
-    if abs(z - PI * complex(round(z.real / PI), round(z.imag / PI))) < POLE_CUTOFF:
-        return _INF
-    k = np.arange(int(R / PI) + 2)
-    z4 = (z * z) ** 2
-    s = 0j
+    zs = [complex(v) for v in np.ravel(z)]
+    radii = [direct_sum_radius(abs(v), 0.5 * tol) for v in zs]
+    rows = [0 if abs(v - PI * complex(round(v.real / PI), round(v.imag / PI))) < POLE_CUTOFF
+            else int(R / PI) + 2 for v, R in zip(zs, radii)]  # rows of its own quadrant; 0 at a pole
+    z4s, sums = [(v * v) ** 2 for v in zs], [0j] * len(zs)
+    k = np.arange(max(rows, default=0))
     for start in range(0, k.size, _DIRECT_SUM_ROWS):
-        w = (PI * (k[None, 1:] + 1j * k[start:start + _DIRECT_SUM_ROWS, None])).ravel()
-        w4 = (w[np.abs(w) <= R] ** 2) ** 2
-        s += complex(np.sum((7.0 * w4 - 3.0 * z4) / (w4 * (w4 - z4) ** 2)))
-    return 1.0 / (z * z) + 4.0 * z4 * z * z * s + 3.0 * eisenstein_g4() * z * z
+        w = PI * (k[None, 1:] + 1j * k[start:start + _DIRECT_SUM_ROWS, None])
+        modulus = np.abs(w)
+        for i, (R, n, z4) in enumerate(zip(radii, rows, z4s)):
+            if start < n:  # the point's own block: rows start.., columns 1..n-1
+                block = np.s_[:n - start, :n - 1]
+                w4 = (w[block][modulus[block] <= R] ** 2) ** 2
+                # two term arrays alive, not three: * (7 + 0j), - and / round alike in place; den
+                # stays an expression, as numpy's in-place reuse of big temporaries sets its rounding
+                den = w4 * (w4 - z4) ** 2
+                w4 *= 7.0
+                w4 -= 3.0 * z4
+                w4 /= den
+                sums[i] += complex(np.sum(w4))
+                del w4, den
+    out = [1.0 / (v * v) + 4.0 * z4 * v * v * s + 3.0 * eisenstein_g4() * v * v if n else _INF
+           for v, n, z4, s in zip(zs, rows, z4s, sums)]
+    return out if np.ndim(z) else out[0]
 
 
 def _laurent_coefficients(g2: float, count: int) -> np.ndarray:

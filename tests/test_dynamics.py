@@ -456,7 +456,7 @@ def test_fixed_point_search_finds_the_root_for_tiny_eta(eta):
     assert abs(gap) <= 8.9e-16 * eta
 
 
-def test_fixed_point_search_takes_at_most_seven_passes(monkeypatch):
+def test_fixed_point_search_takes_at_most_six_calls(monkeypatch):
     passes = []
 
     def counted(family, z):
@@ -467,7 +467,9 @@ def test_fixed_point_search_takes_at_most_seven_passes(monkeypatch):
     for lam in np.linspace(0.75, 1.0, 8):  # the default sweep
         passes.clear()
         find_attracting_fixed_point(float(lam), 9, 1, 0.3)
-        assert 2 <= len(passes) <= 7
+        assert 2 <= len(passes) <= 6
+        # both bracket ends from one call, then one point a call
+        assert list(passes[0]) == [0.0, 0.3] and all(len(z) == 1 for z in passes[1:])
 
 
 def _fake_map(monkeypatch, f, df):

@@ -157,6 +157,57 @@ def test_direct_sum_reports_every_lattice_point_as_a_pole():
         assert np.isfinite(near.real) and abs(near) > 1e14
 
 
+def _direct_sum_point_by_point(z, tol):
+    """The one-point direct sum that a batch replaced: its own blocks, its own moduli."""
+    R = direct_sum_radius(abs(z), 0.5 * tol)
+    if abs(z - PI * complex(round(z.real / PI), round(z.imag / PI))) < POLE_CUTOFF:
+        return complex(math.inf, 0.0)
+    k = np.arange(int(R / PI) + 2)
+    z4 = (z * z) ** 2
+    s = 0j
+    for start in range(0, k.size, 64):
+        w = (PI * (k[None, 1:] + 1j * k[start:start + 64, None])).ravel()
+        w4 = (w[np.abs(w) <= R] ** 2) ** 2
+        s += complex(np.sum((7.0 * w4 - 3.0 * z4) / (w4 * (w4 - z4) ** 2)))
+    return 1.0 / (z * z) + 4.0 * z4 * z * z * s + 3.0 * eisenstein_g4() * z * z
+
+
+# radii from the floor 12 up to about 1500 at tol 1e-9, four lattice points and one next to a fifth
+_MIXED_BATCH = [0.01 + 0.02j, 0.3 + 0.2j, -1.1 + 0.7j, PI / 2, 0.9 - 1.5j, 1.5 + 1.5j, 3 + 4j,
+                -7.5 + 0.4j, 0j, PI, 1j * PI, -3 * PI + 2j * PI, PI + 2 * POLE_CUTOFF]
+
+
+def test_direct_sum_batch_equals_single_calls():
+    # the batch shares its blocks but sums each point's elements as alone
+    with np.errstate(all="raise"):
+        batch = wp_direct_sum(_MIXED_BATCH, 1e-9)
+        single = [wp_direct_sum(z, 1e-9) for z in _MIXED_BATCH]
+    def bits(values):
+        return np.asarray(values, dtype=complex).view(np.uint64).tolist()
+
+    assert isinstance(batch, list) and all(type(v) is complex for v in single)
+    assert bits(batch) == bits(single)
+    assert bits(batch) == bits([_direct_sum_point_by_point(complex(z), 1e-9) for z in _MIXED_BATCH])
+    assert batch[8:12] == [complex(math.inf, 0.0)] * 4
+    assert all(math.isfinite(abs(v)) for v in batch[:8] + batch[12:])
+    assert wp_direct_sum(np.asarray(_MIXED_BATCH[:3]), 1e-9) == batch[:3]
+
+
+def test_direct_sum_batch_needs_no_more_memory_than_its_largest_point():
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    largest = max(_MIXED_BATCH[:8], key=lambda z: direct_sum_radius(abs(z), 0.5e-9))
+    wp_direct_sum(_MIXED_BATCH, 1e-9)  # caches filled before measuring
+    assert peak(lambda: wp_direct_sum(_MIXED_BATCH, 1e-9)) <= peak(
+        lambda: _direct_sum_point_by_point(complex(largest), 1e-9))
+
+
 def test_direct_sum_memory_stays_bounded():
     # the quadrant is summed in blocks of rows, so the tightest oracle call
     # (about 1.3M lattice points) never holds the whole disk at once
