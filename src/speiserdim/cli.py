@@ -37,7 +37,6 @@ from .dimension import (
     qc_dilatation,
     series_exponent,
     solve_bowen,
-    synthetic_lattice_branches,
 )
 from .dynamics import (
     NoAttractingFixedPointError,
@@ -50,7 +49,6 @@ from .dynamics import (
 from .elliptic import PI, SpeiserdimError, _wp_array, eisenstein_g4, square_lattice, wp, wp_direct_sum, wp_prime
 from .families import (
     MapFamily,
-    PoleRangeError,
     _linear_fit,
     enumerate_poles,
     eval_family,
@@ -98,8 +96,8 @@ def _wp_batch(points: list[complex]) -> tuple[list[complex], list[complex]]:
     return np.where(pole, math.inf, values).tolist(), np.where(pole, math.inf, derivs).tolist()
 
 
-def _run_verify(cfg: ExperimentConfig, seed: int) -> tuple[str, bool]:
-    rng = random.Random(seed)
+def _run_verify(cfg: ExperimentConfig) -> tuple[str, bool]:
+    rng = random.Random(cfg.seed)
     lat = square_lattice()
     c = _Checks()
 
@@ -238,8 +236,8 @@ def _run_verify(cfg: ExperimentConfig, seed: int) -> tuple[str, bool]:
     return c.report()
 
 
-def cmd_verify(cfg: ExperimentConfig, out: str, seed: int) -> int:
-    report, ok = _run_verify(cfg, seed)
+def cmd_verify(cfg: ExperimentConfig, out: str) -> int:
+    report, ok = _run_verify(cfg)
     sys.stdout.write(report)
     if out:
         header = "".join(f"# {line}\n" for line in config_comment_lines(cfg))
@@ -256,7 +254,7 @@ def _fixed_point_for(cfg: ExperimentConfig, family: MapFamily):
     return None
 
 
-def cmd_render(cfg: ExperimentConfig, out: str, seed: int) -> int:
+def cmd_render(cfg: ExperimentConfig, out: str) -> int:
     family = cfg.to_family()
     fp = _fixed_point_for(cfg, family)
     raster = render(
@@ -282,7 +280,7 @@ _SWEEP_COLUMNS = (
 )
 
 
-def cmd_sweep(cfg: ExperimentConfig, out: str, seed: int) -> int:
+def cmd_sweep(cfg: ExperimentConfig, out: str) -> int:
     # checked here, not in validate_config: render takes any grid_resolution
     scales = cfg.box_scale_list() or default_box_scales(cfg.grid_resolution)
     try:
@@ -354,43 +352,24 @@ def _estimate_rows_csv(cfg: ExperimentConfig, rows: list[tuple[str, float, float
     return "\n".join(lines) + "\n"
 
 
-def cmd_dim_lower(cfg: ExperimentConfig, out: str, seed: int) -> int:
+def cmd_dim_lower(cfg: ExperimentConfig, out: str) -> int:
     family = cfg.to_family()
     q = family.pole_multiplicity
+    base = cfg.branch_base_index if cfg.branch_base_index > 0 else None
+    branch_set = estimate_branch_contractions(
+        family,
+        base,
+        cfg.branch_count,
+        cfg.branch_r0,
+        cfg.branch_r1,
+        boundary_samples=cfg.branch_samples,
+    )
     rows: list[tuple[str, float, float, float, str]] = []
-    if cfg.bowen_mode == "synthetic":
-        table = [int(x) for x in cfg.bowen_table.split(",") if x.strip()]
-        # every entry's branches are a prefix of the largest entry's
-        try:
-            largest = synthetic_lattice_branches(max(table), q=q)
-        except PoleRangeError as exc:
-            raise ConfigError(f"bowen_table entry {max(table)} is too large: {exc}") from None
-        for n in table:
-            t = solve_bowen(IFSBranchSet(largest.branches[:n], largest.base_index))
-            rows.append(("bowen_lower_synthetic", t, t, 2.0, f"N={n};q={q}"))
-    else:
-        base = cfg.branch_base_index if cfg.branch_base_index > 0 else None
-        branch_set = estimate_branch_contractions(
-            family,
-            base,
-            cfg.branch_count,
-            cfg.branch_r0,
-            cfg.branch_r1,
-            boundary_samples=cfg.branch_samples,
-        )
-        n = len(branch_set.branches)
-        for count in sorted({max(2, n // 4), max(2, n // 2), n}):
-            sub = IFSBranchSet(branch_set.branches[:count], branch_set.base_index)
-            t = solve_bowen(sub)
-            rows.append(
-                (
-                    "bowen_lower",
-                    t,
-                    t,
-                    2.0,
-                    f"branches={count};base={branch_set.base_index};rejected={len(branch_set.rejected)}",
-                )
-            )
+    n = len(branch_set.branches)
+    for count in sorted({max(2, n // 4), max(2, n // 2), n}):
+        t = solve_bowen(IFSBranchSet(branch_set.branches[:count], branch_set.base_index))
+        rows.append(("bowen_lower", t, t, 2.0,
+                     f"branches={count};base={branch_set.base_index};rejected={len(branch_set.rejected)}"))
     fl = formula_lower(q)
     rows.append(("formula_lower", fl, fl, 2.0, f"q={q}"))
     path = out or cfg.out or "dim_lower.csv"
@@ -400,28 +379,22 @@ def cmd_dim_lower(cfg: ExperimentConfig, out: str, seed: int) -> int:
     return 0
 
 
-def _count_fit(moduli: np.ndarray, lo: float, hi: float, n: int, log_counts: bool):
-    """_linear_fit of the count (or log count) of the ascending moduli within r against log r."""
-    radii = np.geomspace(lo, hi, n)
-    counts = np.searchsorted(moduli, radii, side="right").astype(float)
-    return _linear_fit(np.log(radii), np.log(counts) if log_counts else counts)
-
-
-def cmd_dim_upper(cfg: ExperimentConfig, out: str, seed: int) -> int:
+def cmd_dim_upper(cfg: ExperimentConfig, out: str) -> int:
     family = cfg.to_family()
     poles = enumerate_poles(family, cfg.series_radius)
-    est = series_exponent(poles, t_hi=cfg.series_t_hi)
-    rows = [("series_upper", est.value, *est.uncertainty,
-             f"poles={len(poles)};multiplicity={est.metadata['multiplicity']};radius={cfg.series_radius:g}")]
-    moduli = np.hypot(poles.location.real, poles.location.imag)  # ascending, as enumerated
-    rho = max(0.0, float(_count_fit(moduli, moduli[0] * 2.0, moduli[-1], 8, log_counts=True)[0]))
-    q = family.pole_multiplicity
+    est = series_exponent(poles)
+    rows = [("series_upper", est.value, *est.uncertainty, f"set=I;poles={len(poles)};"
+             f"multiplicity={est.metadata['multiplicity']};radius={cfg.series_radius:g}")]
+    q, rho = family.pole_multiplicity, family.order
     fu = formula_upper(q, rho)
-    rows.append(("formula_upper", fu, 0.0, fu, f"M={q};rho={rho:.6g}"))
+    rows.append(("formula_upper", fu, 0.0, fu, f"set=I;M={q};rho={rho}"))
+    moduli = np.hypot(poles.location.real, poles.location.imag)  # ascending, as enumerated
     fit_hi = min(cfg.pole_radius, float(moduli[-1]))
     fit_lo = 2.0 * float(moduli[0])
     if fit_hi > fit_lo * 1.5:
-        slope, stderr, r = _count_fit(moduli, fit_lo, fit_hi, 10, log_counts=False)
+        radii = np.geomspace(fit_lo, fit_hi, 10)
+        counts = np.searchsorted(moduli, radii, side="right").astype(float)
+        slope, stderr, r = _linear_fit(np.log(radii), counts)
         slope, se = float(slope), 2.0 * float(stderr)
         rows.append(("pole_count_per_log_radius", slope, slope - se, slope + se,
                      f"r_max={fit_hi:g};r_squared={r ** 2:.6g}"))
@@ -452,19 +425,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.seed is not None and args.seed < 0:  # as the config key's check
-            parser.error(f"argument --seed: seed must be nonnegative, not {args.seed}")
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
         cfg = load_config(args.config) if args.config else validate_config(ExperimentConfig())
+        if args.seed is not None:
+            cfg = validate_config(replace(cfg, seed=args.seed))
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    seed = args.seed if args.seed is not None else cfg.seed
     out = args.out or ""
     try:
-        return _COMMANDS[args.command](cfg, out, seed)
+        return _COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields
 
 from .elliptic import SpeiserdimError
 from .families import TAGS, MapFamily
-from .dimension import DEFAULT_BRANCH_SAMPLES, DEFAULT_SERIES_T_HI, check_branch_radii
+from .dimension import DEFAULT_BRANCH_SAMPLES, check_branch_radii
 from .dynamics import GridSpec
 
 
@@ -43,8 +43,6 @@ class ExperimentConfig:
     guard_modulus: float = 30.0
     guard_exits: int = 2
     # lower-bound pipeline
-    bowen_mode: str = "measured"
-    bowen_table: str = "100,1000,10000"
     branch_count: int = 40
     branch_base_index: int = 0  # 0 selects the base pole automatically
     branch_r0: float = 0.24
@@ -53,13 +51,10 @@ class ExperimentConfig:
     # upper-bound pipeline
     pole_radius: float = 40.0
     series_radius: float = 1e80
-    series_t_hi: float = DEFAULT_SERIES_T_HI
     # box counting ("" = derive dyadic scales from the resolution)
     box_scales: str = ""
-    # run plumbing; threads is accepted from existing config files and has
-    # no effect, since renders run on one thread
+    # run plumbing
     seed: int = 0
-    threads: int = 0
     out: str = ""
 
     def to_family(self) -> MapFamily:
@@ -124,11 +119,6 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("guard_modulus must exceed 1; it must sit above the attractor scale")
     if cfg.guard_exits < 1:
         raise ConfigError("guard_exits must be at least 1")
-    if cfg.bowen_mode not in ("measured", "synthetic"):
-        raise ConfigError("bowen_mode must be 'measured' or 'synthetic'")
-    table = _parse_int_list(cfg.bowen_table, "bowen_table")
-    if any(n < 2 for n in table):
-        raise ConfigError("bowen_table entries must be at least 2")
     if cfg.branch_count < 2:
         raise ConfigError("branch_count must be at least 2")
     if not 0 <= cfg.branch_base_index < cfg.branch_count:
@@ -137,16 +127,12 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("branch_samples must be at least 8")
     if cfg.pole_radius <= 0 or cfg.series_radius <= 0:
         raise ConfigError("pole_radius and series_radius must be positive")
-    if cfg.series_t_hi <= 0:
-        raise ConfigError("series_t_hi must be positive")
     if cfg.box_scales.strip():
         scales = _parse_int_list(cfg.box_scales, "box_scales")
         if any(s < 1 for s in scales):
             raise ConfigError("box_scales entries must be positive")
     if cfg.seed < 0:
         raise ConfigError("seed must be nonnegative")
-    if cfg.threads < 0:
-        raise ConfigError("threads must be nonnegative")
     return cfg
 
 

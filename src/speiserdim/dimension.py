@@ -40,10 +40,8 @@ from .families import (
 
 PI = math.pi
 _CHUNK_POINTS = 4096  # (branch, sample) points per inversion: bounds the size of its arrays
-# defaults of estimate_branch_contractions and series_exponent, and of the config keys
-# branch_samples and series_t_hi
+# default of estimate_branch_contractions and of the config key branch_samples
 DEFAULT_BRANCH_SAMPLES = 64
-DEFAULT_SERIES_T_HI = 4.0
 
 
 class DegenerateSystemError(SpeiserdimError, ValueError):
@@ -104,8 +102,11 @@ def _clamp_dim(x: float) -> float:
 
 
 def formula_upper(M: int, rho: float) -> float:
-    """Closed-form upper bound 2*M*rho / (2 + M*rho) for pole multiplicity M
-    and pole-series density exponent rho."""
+    """Closed-form upper bound 2*M*rho / (2 + M*rho) on dim I(f), the escaping
+    set, for maximal pole multiplicity M and order rho (Bergweiler-Kotus, "On
+    the Hausdorff dimension of the escaping set of certain meromorphic
+    functions", Trans. AMS 2012).  At rho = 2 it is 2M/(M+1), the convergence
+    exponent of a lattice pole series; at rho = 0 it is 0."""
     if M < 1 or int(M) != M:
         raise ValueError("M must be a positive integer")
     if rho < 0:
@@ -293,7 +294,7 @@ def _increment_ratio(bases: np.ndarray, t: float) -> float:
 _RATIO_MARGIN = 0.9
 
 
-def series_exponent(poles, t_hi: float = DEFAULT_SERIES_T_HI) -> DimensionEstimate:
+def series_exponent(poles, t_hi: float = 4.0) -> DimensionEstimate:
     """Infimum-of-convergence exponent of the pole series, with margins.
 
     Point estimate: bisection on increment ratio = 1.  Uncertainty interval:

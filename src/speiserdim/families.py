@@ -107,6 +107,14 @@ class MapFamily:
     def pole_multiplicity(self) -> int:
         return 4 if self.tag in ("G", "FMax") else 4 * self.p
 
+    @property
+    def order(self) -> int:
+        """Order of growth: 2 for the lattice maps, whose pole count within r
+        grows like r^2, and 0 for Hm and FLambda.  Those have 2m poles per
+        level, and their moduli grow by e^(pi/m) per level, so their pole
+        count grows like log r."""
+        return 0 if self.tag in ("Hm", "FLambda") else 2
+
 
 def _complex(re, im) -> np.ndarray:
     """re + i*im, assembled from its parts with no complex arithmetic."""

@@ -27,10 +27,8 @@ from speiserdim.cli import main
 from speiserdim.config import validate_config
 from speiserdim.dimension import (
     DEFAULT_BRANCH_SAMPLES,
-    DEFAULT_SERIES_T_HI,
     box_counting,
     estimate_branch_contractions,
-    series_exponent,
 )
 from speiserdim.dynamics import LinearizationDomainError
 
@@ -49,7 +47,7 @@ def test_config_round_trip_is_exact():
     cfg = validate_config(ExperimentConfig(
         eta=0.2137915731, lam=0.8542391, lambda_min=0.77, grid_half_width=1.875,
         attraction_tol=3.5e-7, guard_modulus=1e12, guard_exits=3, m=21,
-        bowen_mode="synthetic", box_scales="4,8,16,32", out="x.csv",
+        box_scales="4,8,16,32", out="x.csv",
     ))
     again = parse_config(serialize_config(cfg))
     assert again == cfg
@@ -66,6 +64,10 @@ def test_config_comments_and_whitespace():
 def test_config_unknown_key_reports_line():
     with pytest.raises(ConfigError, match="line 2: unknown config key 'bogus'"):
         parse_config("seed = 1\nbogus = 2\n")
+    # keys that earlier versions wrote into output headers
+    for key in ("bowen_mode", "bowen_table", "series_t_hi", "threads"):
+        with pytest.raises(ConfigError, match=f"line 1: unknown config key '{key}'"):
+            parse_config(f"{key} = 1\n")
     with pytest.raises(ConfigError, match="line 1: expected 'key = value'"):
         parse_config("seed 1\n")
 
@@ -95,8 +97,6 @@ def test_config_type_errors():
     ("family = G\nm = 8", "odd"),
     ("guard_modulus = 1.0", "exceed 1"),
     ("guard_exits = 0", "at least 1"),
-    ("bowen_mode = guess", "measured"),
-    ("bowen_table = 1,100", "at least 2"),
     ("branch_r0 = 0.5\nbranch_r1 = 0.9", "2 - sqrt"),
     ("branch_samples = 4", "at least 8"),
     ("series_radius = 0", "positive"),
@@ -124,7 +124,6 @@ def test_config_defaults_come_from_the_objects():
     assert cfg.to_grid() == GridSpec()
     defaults = {
         (estimate_branch_contractions, "boundary_samples"): (cfg.branch_samples, DEFAULT_BRANCH_SAMPLES),
-        (series_exponent, "t_hi"): (cfg.series_t_hi, DEFAULT_SERIES_T_HI),
     }
     for (function, name), (value, constant) in defaults.items():
         assert inspect.signature(function).parameters[name].default is constant
@@ -132,15 +131,14 @@ def test_config_defaults_come_from_the_objects():
     text = serialize_config(cfg)
     for line in ("p = 1", "eta = 0.3", "m = 9", "lam = 1.0", "grid_center_re = 0.0",
                  "grid_center_im = 0.0", "grid_half_width = 2.0", "grid_resolution = 512",
-                 "max_iterations = 500", "attraction_tol = 1e-06", "branch_samples = 64",
-                 "series_t_hi = 4.0"):
+                 "max_iterations = 500", "attraction_tol = 1e-06", "branch_samples = 64"):
         assert line in text.splitlines()
 
 
 def test_load_config_from_disk(tmp_path):
-    path = write_config(tmp_path, "seed = 9\nthreads = 2\n")
+    path = write_config(tmp_path, "seed = 9\nm = 11\n")
     cfg = load_config(path)
-    assert cfg.seed == 9 and cfg.threads == 2
+    assert cfg.seed == 9 and cfg.m == 11
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +173,20 @@ def test_cli_verify_passes_and_writes_report(tmp_path, capsys):
     text = out.read_text(encoding="utf-8")
     assert text.startswith("# family = FLambda\n")
     assert "PASS" in text and "FAIL  " not in text
+
+
+def test_cli_verify_report_reruns_from_its_header(tmp_path, capsys):
+    # the header names the seed that drew the points, so a config made of it
+    # draws them again
+    first = tmp_path / "first.txt"
+    assert main(["verify", "--seed", "5", "--out", str(first)]) == 0
+    text = first.read_text(encoding="utf-8")
+    assert "# seed = 5\n" in text
+    header = "".join(line[2:] + "\n" for line in text.splitlines() if line.startswith("# "))
+    again = tmp_path / "again.txt"
+    assert main(["verify", "--config", write_config(tmp_path, header), "--out", str(again)]) == 0
+    capsys.readouterr()
+    assert again.read_bytes() == first.read_bytes()
 
 
 @pytest.mark.parametrize("seed", [264, 383, 653, 911])
@@ -218,7 +230,7 @@ def test_cli_parser_help_and_option_order(monkeypatch, capsys):
     assert main(["frobnicate", "--seed", "1"]) == 2
     assert "invalid choice" in capsys.readouterr().err
     calls = []
-    monkeypatch.setitem(cli._COMMANDS, "verify", lambda cfg, out, seed: calls.append((out, seed)) or 0)
+    monkeypatch.setitem(cli._COMMANDS, "verify", lambda cfg, out: calls.append((out, cfg.seed)) or 0)
     assert main(["--seed", "7", "--out", "a.txt", "verify"]) == 0
     assert main(["verify", "--seed", "7", "--out", "a.txt"]) == 0
     assert main(["--seed", "7", "verify", "--out", "a.txt", "--threads", "3"]) == 0
@@ -519,37 +531,6 @@ def test_cli_verify_checks_the_basin_disk(capsys):
     assert re.search(r"^PASS  basin-disk-traps-orbits ", capsys.readouterr().out, re.M)
 
 
-def test_cli_dim_lower_synthetic_table(tmp_path):
-    cfg = write_config(tmp_path, (
-        "bowen_mode = synthetic\nbowen_table = 50,200,800\n"
-    ))
-    out = tmp_path / "lower.csv"
-    assert main(["dim-lower", "--config", cfg, "--out", str(out)]) == 0
-    lines = [l for l in out.read_text(encoding="utf-8").splitlines() if not l.startswith("#")]
-    assert lines[0] == "method,value,lo,hi,detail"
-    rows = [l.split(",") for l in lines[1:]]
-    synth = [r for r in rows if r[0] == "bowen_lower_synthetic"]
-    assert len(synth) == 3
-    values = [float(r[1]) for r in synth]
-    assert values[0] < values[1] < values[2] < 2.0
-    assert [r[4] for r in synth] == ["N=50;q=4", "N=200;q=4", "N=800;q=4"]
-    formula = [r for r in rows if r[0] == "formula_lower"]
-    assert len(formula) == 1
-    assert float(formula[0][1]) == 1.6  # 2q/(q+1) at q = 4
-
-
-def test_cli_dim_lower_rejects_a_synthetic_table_past_the_pole_cap(tmp_path, monkeypatch, capsys):
-    solved = []
-    monkeypatch.setattr("speiserdim.cli.solve_bowen", lambda branch_set: solved.append(branch_set))
-    cfg = write_config(tmp_path, "bowen_mode = synthetic\nbowen_table = 100,2500000\n")
-    out = tmp_path / "lower.csv"
-    assert main(["dim-lower", "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "bowen_table" in err
-    assert solved == []
-    assert not out.exists()
-
-
 def test_cli_dim_upper_rows(tmp_path):
     cfg = write_config(tmp_path, "family = Hm\nm = 9\nseries_radius = 1e60\n")
     out = tmp_path / "upper.csv"
@@ -561,21 +542,28 @@ def test_cli_dim_upper_rows(tmp_path):
     series = rows["series_upper"]
     assert 0.0 <= float(series[1]) < 0.15
     assert float(series[2]) <= float(series[1]) <= float(series[3])
-    assert "poles=" in series[4]
-    upper = rows["formula_upper"]
-    assert 0.0 <= float(upper[1]) < 2.0
-    assert "M=4" in upper[4]
+    assert series[4].startswith("set=I;poles=")
+    # Hm has order 0, so 2M rho/(2 + M rho) is 0
+    assert rows["formula_upper"][1:] == ["0", "0", "0", "set=I;M=4;rho=0"]
     density = rows["pole_count_per_log_radius"]
     assert float(density[1]) > 0.0
     assert "r_squared=" in density[4]
 
 
+@pytest.mark.parametrize("text, value", [
+    ("", "0"),  # the default FLambda has order 0
+    ("family = G\nseries_radius = 300\n", "1.6000000000000001"),  # order 2: 2M/(M+1)
+])
+def test_cli_formula_upper_reads_the_stated_order(tmp_path, text, value):
+    out = tmp_path / "upper.csv"
+    assert main(["dim-upper", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+    rows = [l.split(",") for l in out.read_text(encoding="utf-8").splitlines() if l.startswith("formula_upper,")]
+    assert [row[1] for row in rows] == [value]
+
+
 def test_cli_seventeen_digit_floats(tmp_path):
-    cfg = write_config(tmp_path, (
-        "bowen_mode = synthetic\nbowen_table = 100,1000\n"
-    ))
     out = tmp_path / "lower.csv"
-    assert main(["dim-lower", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["dim-lower", "--out", str(out)]) == 0
     lines = [l for l in out.read_text(encoding="utf-8").splitlines() if not l.startswith("#")]
     value = lines[1].split(",")[1]
     assert value == "%.17g" % float(value)

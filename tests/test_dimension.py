@@ -337,6 +337,18 @@ def test_series_exponent_equal_on_records_and_pole_data_lists(family, radius):
                                              "t_hi": 4.0}
 
 
+@pytest.mark.parametrize("family", [
+    MapFamily(tag="G"), MapFamily(tag="FMax"), MapFamily(tag="H"), MapFamily(tag="H", p=2),
+], ids=lambda f: f"{f.tag}-p{f.p}")
+def test_series_exponent_meets_the_stated_order(family):
+    # order 2 with M-fold poles on a lattice: the series converges exactly for
+    # t > 2M/(M+1), which is formula_upper(M, 2)
+    M = family.pole_multiplicity
+    assert family.order == 2
+    assert formula_upper(M, family.order) == pytest.approx(2 * M / (M + 1), rel=1e-15)
+    assert abs(series_exponent(enumerate_poles(family, 300)).value - 2 * M / (M + 1)) <= 1e-3
+
+
 def test_series_exponent_small_for_sparse_pole_family():
     fam = MapFamily(tag="Hm", m=9, p=1, eta=0.3)
     poles = enumerate_poles(fam, 1e40)
@@ -425,7 +437,8 @@ def _criterion_08_fit_inputs():
 
 
 def _dim_upper_fit_inputs():
-    """Both fits of `dim-upper` at the default config, as cmd_dim_upper builds them."""
+    """Log pole count, and pole count, against log radius over the default
+    config's poles; the second is `dim-upper`'s pole_count_per_log_radius fit."""
     cfg = ExperimentConfig()
     moduli = np.sort([abs(p.location) for p in enumerate_poles(cfg.to_family(), cfg.series_radius)])
     radii = np.geomspace(moduli[0] * 2.0, moduli[-1], 8)

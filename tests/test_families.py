@@ -156,6 +156,10 @@ def test_pole_count_grows_like_log_radius():
     counts = np.searchsorted(mods, radii, side="right").astype(float)
     fit = linregress(np.log(radii), counts)
     assert fit.rvalue ** 2 > 0.9
+    # 2m poles per level and a factor e^(pi/m) in modulus per level: 2m^2/pi
+    # poles per unit of log radius, so the stated order is 0
+    assert MapFamily(tag="Hm").order == MapFamily(tag="FLambda").order == 0
+    assert fit.slope == pytest.approx(2 * 9 ** 2 / np.pi, rel=0.01)
 
 
 def test_pole_list_sorted_and_distinct():
