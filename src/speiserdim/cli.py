@@ -246,7 +246,7 @@ def cmd_verify(cfg: ExperimentConfig, out: str) -> int:
     return 0 if ok else 1
 
 
-def _fixed_point_for(cfg: ExperimentConfig, family: MapFamily):
+def _fixed_point_for(family: MapFamily):
     if family.tag == "FLambda":
         return find_attracting_fixed_point(family.lam, family.m, family.p, family.eta)
     if family.tag == "Hm":
@@ -256,7 +256,7 @@ def _fixed_point_for(cfg: ExperimentConfig, family: MapFamily):
 
 def cmd_render(cfg: ExperimentConfig, out: str) -> int:
     family = cfg.to_family()
-    fp = _fixed_point_for(cfg, family)
+    fp = _fixed_point_for(family)
     raster = render(
         cfg.to_grid(),
         family,
@@ -354,24 +354,18 @@ def _estimate_rows_csv(cfg: ExperimentConfig, rows: list[tuple[str, float, float
 
 def cmd_dim_lower(cfg: ExperimentConfig, out: str) -> int:
     family = cfg.to_family()
-    q = family.pole_multiplicity
     base = cfg.branch_base_index if cfg.branch_base_index > 0 else None
-    branch_set = estimate_branch_contractions(
-        family,
-        base,
-        cfg.branch_count,
-        cfg.branch_r0,
-        cfg.branch_r1,
-        boundary_samples=cfg.branch_samples,
-    )
+    branch_set = estimate_branch_contractions(family, base, cfg.branch_count, cfg.branch_r0, cfg.branch_r1)
     rows: list[tuple[str, float, float, float, str]] = []
     n = len(branch_set.branches)
     for count in sorted({max(2, n // 4), max(2, n // 2), n}):
         t = solve_bowen(IFSBranchSet(branch_set.branches[:count], branch_set.base_index))
         rows.append(("bowen_lower", t, t, 2.0,
-                     f"branches={count};base={branch_set.base_index};rejected={len(branch_set.rejected)}"))
-    fl = formula_lower(q)
-    rows.append(("formula_lower", fl, fl, 2.0, f"q={q}"))
+                     f"set=J;branches={count};base={branch_set.base_index};rejected={len(branch_set.rejected)}"))
+    if family.order == 2:  # formula_lower's theorem is for elliptic functions
+        q = family.pole_multiplicity
+        fl = formula_lower(q)
+        rows.append(("formula_lower", fl, fl, 2.0, f"set=J;q={q}"))
     path = out or cfg.out or "dim_lower.csv"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_estimate_rows_csv(cfg, rows))

@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields
 
 from .elliptic import SpeiserdimError
 from .families import TAGS, MapFamily
-from .dimension import DEFAULT_BRANCH_SAMPLES, check_branch_radii
+from .dimension import check_branch_radii
 from .dynamics import GridSpec
 
 
@@ -47,7 +47,6 @@ class ExperimentConfig:
     branch_base_index: int = 0  # 0 selects the base pole automatically
     branch_r0: float = 0.24
     branch_r1: float = 0.9
-    branch_samples: int = DEFAULT_BRANCH_SAMPLES
     # upper-bound pipeline
     pole_radius: float = 40.0
     series_radius: float = 1e80
@@ -123,8 +122,6 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("branch_count must be at least 2")
     if not 0 <= cfg.branch_base_index < cfg.branch_count:
         raise ConfigError("branch_base_index must be 0 (auto) or a positive index below branch_count")
-    if cfg.branch_samples < 8:
-        raise ConfigError("branch_samples must be at least 8")
     if cfg.pole_radius <= 0 or cfg.series_radius <= 0:
         raise ConfigError("pole_radius and series_radius must be positive")
     if cfg.box_scales.strip():

@@ -1,16 +1,14 @@
 """Dimension estimators: finite-IFS lower bounds, pole-series upper bounds,
 closed-form bounds, box counting, and quasiconformal continuity envelopes.
 
-Lower bound pipeline.  Around every sufficiently distant pole a_k the map
-behaves like (b_k/(z - a_k))^q, so the second iterate has a well-defined
-inverse branch S_k taking the disk D(a_M, r0) around a chosen base pole back
-into itself: invert f once near a_k, then once near a_M, for all branches at
-once by Newton over the (branch, boundary sample) rows of one array.  The
-branches form an iterated function system; the contraction of each S_k is
-certified from the supremum of |(f^2)'| over the sampled circle (analytic on
-the branch domain, so the maximum modulus principle makes boundary sampling
-sufficient) with a 2% safety factor.  The root t of sum_k b_k^t = 1 then
-lower-bounds the dimension of the IFS limit set, hence of the chaotic locus.
+Lower bound pipeline.  Near a distant pole a_k the map behaves like
+(b_k/(z - a_k))^q, so f^2 has an inverse branch S_k taking a disk D(a_M, r0)
+around a chosen base pole into itself: invert f near a_k, then near a_M, for
+all branches by one Newton solve per leg at a_M.  Since the base disk stays
+clear of the finite singular values, Koebe's theorems turn S_k and S_k' at
+a_M into certified bounds over the disk, among them b_k <= |S_k'|
+(estimate_branch_contractions).  The root t of sum_k b_k^t = 1 then
+lower-bounds the dimension of this IFS's limit set, and so of J, which holds it.
 
 Upper bound pipeline.  The truncated series sum_j (|b_j| / |a_j|^(1+1/M))^t
 over poles decides convergence by a dyadic Cauchy-increment ratio
@@ -37,11 +35,6 @@ from .families import (
     # evaluations made while inverting branches
     eval_family_array,
 )
-
-PI = math.pi
-_CHUNK_POINTS = 4096  # (branch, sample) points per inversion: bounds the size of its arrays
-# default of estimate_branch_contractions and of the config key branch_samples
-DEFAULT_BRANCH_SAMPLES = 64
 
 
 class DegenerateSystemError(SpeiserdimError, ValueError):
@@ -115,7 +108,9 @@ def formula_upper(M: int, rho: float) -> float:
 
 
 def formula_lower(q: int) -> float:
-    """Closed-form strict lower bound 2*q/(q+1) for maximal pole multiplicity q."""
+    """Strict lower bound 2*q/(q+1) on dim J(f) for an elliptic f with poles of
+    multiplicity at most q (Kotus-Urbanski, "Hausdorff dimension and Hausdorff
+    measures of Julia sets of elliptic functions", Bull. LMS 2003)."""
     if q < 1 or int(q) != q:
         raise ValueError("q must be a positive integer")
     return 2.0 * q / (q + 1.0)
@@ -169,7 +164,7 @@ def synthetic_lattice_branches(count: int, q: int = 4, scale: float = 2.0) -> IF
 
 def _invert_rows(family: MapFamily, a: np.ndarray, b: np.ndarray, q: int, targets: np.ndarray):
     """Newton solves of f(z) = v near the pole a, where f(z) ~ (b/(z-a))^q, for every v in
-    the (branch, sample) rows of targets; a and b hold one pole per row.  A row stops once
+    the (branch, target) rows of targets; a and b hold one pole per row.  A row stops once
     its largest step is below 1e-13 * max(1, |a|), or after 60 passes; only live rows are
     evaluated.  Returns z, f'(z) from the pass that checks the residual (NaN in the rows
     that failed), and per row "" or why it failed."""
@@ -214,22 +209,28 @@ def check_branch_radii(r0: float, r1: float) -> None:
         raise ValueError("branch radius r0 must not exceed (2 - sqrt(3)) * r1")
 
 
-def estimate_branch_contractions(
-    family: MapFamily,
-    M: int | None,
-    N: int,
-    r0: float,
-    r1: float,
-    boundary_samples: int = DEFAULT_BRANCH_SAMPLES,
-) -> IFSBranchSet:
-    """Measured contraction constants for the inverse branches of f^2.
+def estimate_branch_contractions(family: MapFamily, M: int | None, N: int, r0: float, r1: float) -> IFSBranchSet:
+    """Certified contraction constants for the inverse branches of f^2.
 
-    For each pole index k in M..N (1-based, sorted by modulus), the branch
-    S_k = (inverse of f near a_M) o (inverse of f near a_k) is evaluated on
-    boundary_samples points of |u - a_M| = r0, as rows of one Newton inversion
-    per leg and chunk.  It gets b_k = 1 / (1.02 * sup |(f^2)'|) over them, or is
-    rejected with the first check it fails: pole cutoff, Newton residual, first
-    leg in D(a_k, r1), image in D(a_M, r0), b_k in (0, 1).
+    For each pole index k in M..N (1-based, sorted by modulus), S_k = L2 o L1,
+    where L1 inverts f near a_k and L2 near a_M, should map D(a_M, r0) into
+    itself.  One Newton solve per leg, at the base pole only, gives w = L1(a_M),
+    z = L2(w), f'(w) and f'(z), so S_k'(a_M) = 1/(f'(z) f'(w)).  Koebe's theorems
+    (Duren, Univalent Functions, 1983, section 2.3) bound the rest: for g
+    univalent on D(c, R) and |u - c| = r < R, |g(u) - g(c)| <= |g'(c)| r/(1 - r/R)^2
+    (growth) and |g'(u)| >= |g'(c)| (1 - r/R)/(1 + r/R)^3 (distortion).
+
+    D(a_M, R), R = |a_M| - |f(0)|, misses the finite singular values 0 and f(0)
+    (f(0) = 1 for G, i for FMax, eta otherwise), so L1 is univalent on it.  At
+    s = R/2 (basin_radius's t = 1/2) growth puts L1(D(a_M, s)) in D(w, 2R |L1'(a_M)|);
+    if that disk misses 0 and f(0) too, L2 is univalent on it and S_k on D(a_M, s).
+    With rho = r0/s < 1 (else BasePoleError), over D(a_M, r0):
+        |S_k'| >= b_k = |S_k'(a_M)| (1 - rho)/(1 + rho)^3,
+        |L1(u) - a_k| <= |w - a_k| + |L1'(a_M)| r0/(1 - r0/R)^2,
+        |S_k(u) - a_M| <= |z - a_M| + |S_k'(a_M)| r0/(1 - rho)^2.
+    A branch is rejected with the first check it fails: pole cutoff, Newton residual,
+    first leg in D(a_k, r1), L2 univalent, image in D(a_M, r0), which gives b_k < 1.
+    The rounding of w, z and f', about 1e-12 relative, is not covered.
     """
     check_branch_radii(r0, r1)
     if N < 2:
@@ -242,32 +243,39 @@ def estimate_branch_contractions(
         raise BasePoleError(f"base index {M} must satisfy 1 <= M < N = {N}, where N is branch_count")
 
     a_base, b_base = complex(a[M - 1]), complex(b[M - 1])
-    theta = 0.1357 + 2.0 * PI * np.arange(boundary_samples) / boundary_samples
-    boundary = a_base + r0 * np.exp(1j * theta)
+    f0 = {"G": 1.0, "FMax": 1j}.get(family.tag, family.eta)
+    R = abs(a_base) - abs(f0)
+    if not 2.0 * r0 < R:
+        raise BasePoleError(f"r0 = {r0:g} must lie below (|a_{M}| - |f(0)|)/2 = {R / 2.0:.4g}, "
+                            "where the branches are univalent; pick a farther base pole")
+    rho = 2.0 * r0 / R  # r0/s
+
+    a_k = a[M - 1:N]
+    w, dw, why = _invert_rows(family, a_k, b[M - 1:N], q, np.full((a_k.size, 1), a_base))
+    w, d1 = w[:, 0], 1.0 / np.abs(dw[:, 0])  # |L1'(a_M)|
+    off1 = np.abs(w - a_k) + d1 * r0 / (1.0 - r0 / R) ** 2
+    reach = 2.0 * R * d1  # L1(D(a_M, s)) lies in D(w, reach)
+    univalent = reach < np.minimum(np.abs(w), np.abs(w - f0))
+    off0, bk = np.zeros(a_k.size), np.full(a_k.size, np.nan)
+    go = np.flatnonzero((why == "") & (off1 < r1) & univalent)
+    if go.size:  # no second leg to invert when every branch failed the first
+        z, dz, why[go] = _invert_rows(family, np.full(go.size, a_base), np.full(go.size, b_base), q, w[go, None])
+        dS = d1[go] / np.abs(dz[:, 0])  # |S_k'(a_M)|
+        off0[go] = np.abs(z[:, 0] - a_base) + dS * r0 / (1.0 - rho) ** 2
+        bk[go] = dS * (1.0 - rho) / (1.0 + rho) ** 3
 
     branches, rejected = [], []
-    chunk = max(1, _CHUNK_POINTS // boundary_samples)  # whole branches per inversion
-    for ks in np.split(np.arange(M, N + 1), range(chunk, N + 1 - M, chunk)):
-        a_k = a[ks - 1]
-        w, dw, why = _invert_rows(family, a_k, b[ks - 1], q, np.broadcast_to(boundary, (ks.size, boundary.size)))
-        off1, off0, sup = np.abs(w - a_k[:, None]).max(axis=1), np.zeros(ks.size), np.full(ks.size, np.nan)
-        go = np.flatnonzero((why == "") & ~(off1 >= r1))
-        if go.size:  # no second leg to invert when every branch of the chunk failed the first
-            z, dz, why[go] = _invert_rows(family, np.full(go.size, a_base), np.full(go.size, b_base), q, w[go])
-            off0[go], sup[go] = np.abs(z - a_base).max(axis=1), (np.abs(dz) * np.abs(dw[go])).max(axis=1)
-        bk = 1.0 / (1.02 * sup)
-        for k, pole, why_k, o1, o0, c in zip(ks.tolist(), a_k.tolist(), why, off1, off0, bk.tolist()):
-            why_k = why_k or (f"first inverse leg left D(a_{k}, r1): max offset {o1:.3g}" if o1 >= r1 else
-                              f"branch image escaped D(a_{M}, r0): max offset {o0:.3g}" if o0 >= r0 else
-                              f"measured contraction {c:.3g} outside (0, 1)" if not 0.0 < c < 1.0 else "")
-            if why_k:
-                rejected.append((k, why_k))
-            else:
-                branches.append(IFSBranch(index=k, contraction_lower=c, pole_location=pole))
+    rows = zip(range(M, N + 1), a_k.tolist(), why, off1, reach, univalent, off0, bk.tolist())
+    for k, pole, why_k, o1, u, ok, o0, c in rows:
+        why_k = why_k or (f"first inverse leg left D(a_{k}, r1): max offset {o1:.3g}" if o1 >= r1 else
+                          f"second leg not univalent on D(w, {u:.3g}): it meets 0 or f(0)" if not ok else
+                          f"branch image escaped D(a_{M}, r0): max offset {o0:.3g}" if o0 >= r0 else "")
+        if why_k:
+            rejected.append((k, why_k))
+        else:
+            branches.append(IFSBranch(index=k, contraction_lower=c, pole_location=pole))
     if len(branches) < 2:
-        raise DegenerateSystemError(
-            f"only {len(branches)} branch(es) survived; rejections: {rejected[:4]!r}"
-        )
+        raise DegenerateSystemError(f"only {len(branches)} branch(es) survived; rejections: {rejected[:4]!r}")
     return IFSBranchSet(branches=tuple(branches), base_index=M, rejected=tuple(rejected))
 
 

@@ -1,6 +1,5 @@
 """Config parsing and the command-line front end."""
 import importlib
-import inspect
 import os
 import pkgutil
 import re
@@ -25,11 +24,7 @@ from speiserdim import (
 from speiserdim import cli
 from speiserdim.cli import main
 from speiserdim.config import validate_config
-from speiserdim.dimension import (
-    DEFAULT_BRANCH_SAMPLES,
-    box_counting,
-    estimate_branch_contractions,
-)
+from speiserdim.dimension import box_counting
 from speiserdim.dynamics import LinearizationDomainError
 
 
@@ -65,7 +60,7 @@ def test_config_unknown_key_reports_line():
     with pytest.raises(ConfigError, match="line 2: unknown config key 'bogus'"):
         parse_config("seed = 1\nbogus = 2\n")
     # keys that earlier versions wrote into output headers
-    for key in ("bowen_mode", "bowen_table", "series_t_hi", "threads"):
+    for key in ("bowen_mode", "bowen_table", "series_t_hi", "threads", "branch_samples"):
         with pytest.raises(ConfigError, match=f"line 1: unknown config key '{key}'"):
             parse_config(f"{key} = 1\n")
     with pytest.raises(ConfigError, match="line 1: expected 'key = value'"):
@@ -98,7 +93,6 @@ def test_config_type_errors():
     ("guard_modulus = 1.0", "exceed 1"),
     ("guard_exits = 0", "at least 1"),
     ("branch_r0 = 0.5\nbranch_r1 = 0.9", "2 - sqrt"),
-    ("branch_samples = 4", "at least 8"),
     ("series_radius = 0", "positive"),
     ("box_scales = 0,2,4,8", "positive"),
     ("seed = -1", "nonnegative"),
@@ -122,16 +116,10 @@ def test_config_defaults_come_from_the_objects():
     cfg = ExperimentConfig()
     assert cfg.to_family() == MapFamily(tag="FLambda")
     assert cfg.to_grid() == GridSpec()
-    defaults = {
-        (estimate_branch_contractions, "boundary_samples"): (cfg.branch_samples, DEFAULT_BRANCH_SAMPLES),
-    }
-    for (function, name), (value, constant) in defaults.items():
-        assert inspect.signature(function).parameters[name].default is constant
-        assert value is constant
     text = serialize_config(cfg)
     for line in ("p = 1", "eta = 0.3", "m = 9", "lam = 1.0", "grid_center_re = 0.0",
                  "grid_center_im = 0.0", "grid_half_width = 2.0", "grid_resolution = 512",
-                 "max_iterations = 500", "attraction_tol = 1e-06", "branch_samples = 64"):
+                 "max_iterations = 500", "attraction_tol = 1e-06"):
         assert line in text.splitlines()
 
 
@@ -529,6 +517,21 @@ def test_cli_sweep_without_basin_disk_writes_the_same_csv(tmp_path, monkeypatch)
 def test_cli_verify_checks_the_basin_disk(capsys):
     assert main(["verify", "--seed", "0"]) == 0
     assert re.search(r"^PASS  basin-disk-traps-orbits ", capsys.readouterr().out, re.M)
+
+
+@pytest.mark.parametrize("text, formula", [
+    ("", []),  # FLambda is not elliptic: 2q/(q+1) bounds no map of its class
+    ("family = H\neta = 0.01\n", [["formula_lower", "1.6000000000000001", "1.6000000000000001", "2", "set=J;q=4"]]),
+])
+def test_cli_dim_lower_rows_name_their_set(tmp_path, text, formula):
+    out = tmp_path / "lower.csv"
+    assert main(["dim-lower", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+    lines = [l for l in out.read_text(encoding="utf-8").splitlines() if not l.startswith("#")]
+    assert lines[0] == "method,value,lo,hi,detail"
+    rows = [l.split(",") for l in lines[1:]]
+    assert [row[0] for row in rows[:3]] == ["bowen_lower"] * 3
+    assert all(row[4].startswith("set=J;branches=") for row in rows[:3])
+    assert rows[3:] == formula
 
 
 def test_cli_dim_upper_rows(tmp_path):

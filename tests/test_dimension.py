@@ -215,44 +215,77 @@ def test_image_escaping_the_base_disk_is_rejected():
         assert rejected[k].startswith(f"first inverse leg left D(a_{k}, r1)")
 
 
-def test_contraction_outside_the_unit_interval_is_rejected(monkeypatch):
-    # a first-leg derivative 1e-9 times too small makes b_k about 1e9 times too
-    # large; branch 55 still reports its first leg
-    plain = estimate_branch_contractions(FLAMBDA, None, 80, 0.24, 0.9)
-    base = {br.index: br.contraction_lower for br in plain.branches}
+def test_first_leg_image_meeting_a_singular_value_is_rejected(monkeypatch):
+    # a first-leg derivative 1e-2 times too small makes |L1'(a_31)| 100 times too
+    # large: the first leg still stays in D(a_31, r1), but its image disk
+    # reaches past 0, so L2 need not be univalent there; branch 55 still
+    # reports its first leg
     a = _poles_up_to_count(FLAMBDA, 80)[0]
     real = dimension._invert_rows
 
     def flattened(family, a_rows, b_rows, q, targets):
         z, df, why = real(family, a_rows, b_rows, q, targets)
-        return z, np.where(np.isin(a_rows, a[[30, 54]])[:, None], 1e-9 * df, df), why
+        return z, np.where(np.isin(a_rows, a[[30, 54]])[:, None], 1e-2 * df, df), why
 
     monkeypatch.setattr(dimension, "_invert_rows", flattened)
     bs = estimate_branch_contractions(FLAMBDA, None, 80, 0.24, 0.9)
     rejected = dict(bs.rejected)
     assert sorted(rejected) == sorted(FIRST_LEG_ESCAPES_AT_80 + [31])
-    value = re.fullmatch(r"measured contraction (\S+) outside \(0, 1\)", rejected[31]).group(1)
-    assert float(value) == pytest.approx(1e9 * base[31], rel=1e-2)
+    assert re.fullmatch(r"second leg not univalent on D\(w, 1\d\.\d\): it meets 0 or f\(0\)",
+                        rejected[31]), rejected[31]
     assert rejected[55].startswith("first inverse leg left D(a_55, r1)")
 
 
-@pytest.mark.parametrize("count, samples", [(4000, 64), (300, 1024)])
-def test_branch_inversion_memory_is_bounded_by_the_chunk(count, samples):
-    # 256,000 and 307,200 (branch, sample) points: inverted at once, or 64
-    # branches at a time at 1024 samples, they would need tens of MB
+@pytest.mark.parametrize("family", [FLAMBDA, MapFamily(tag="FLambda", lam=0.5), MapFamily(tag="Hm", m=21)],
+                         ids=["default", "lam0.5", "Hm21"])
+def test_branch_bounds_hold_on_a_dense_circle(family):
+    # the bounds come from one inversion at a_M; here each accepted branch is
+    # inverted at 4096 points of |u - a_M| = r0, where the extremes over the
+    # disk lie (maximum modulus, applied to L1 - a_k, S_k - a_M and 1/S_k')
+    r0, r1 = 0.24, 0.9
+    bs = estimate_branch_contractions(family, None, 120, r0, r1)
+    assert len(bs.branches) >= 14
+    a, b = _poles_up_to_count(family, 120)
+    q, M = family.pole_multiplicity, bs.base_index
+    R = abs(a[M - 1]) - abs(family.eta)
+    u = a[M - 1] + r0 * np.exp(2j * np.pi * (np.arange(4096) + 0.5) / 4096)
+    for br in bs.branches:
+        k = br.index
+        w, dw, why = dimension._invert_rows(family, a[[k - 1]], b[[k - 1]], q, u[None, :])
+        z, dz, why2 = dimension._invert_rows(family, a[[M - 1]], b[[M - 1]], q, w)
+        assert why[0] == why2[0] == ""
+        assert np.min(1.0 / np.abs(dz * dw)) >= br.contraction_lower
+        # the offset bounds, recomputed from the branch's inversion at a_M
+        w0, dw0, _ = dimension._invert_rows(family, a[[k - 1]], b[[k - 1]], q, a[[M - 1], None])
+        z0, dz0, _ = dimension._invert_rows(family, a[[M - 1]], b[[M - 1]], q, w0)
+        d1 = 1.0 / abs(dw0[0, 0])
+        first_leg = abs(w0[0, 0] - a[k - 1]) + d1 * r0 / (1.0 - r0 / R) ** 2
+        image = abs(z0[0, 0] - a[M - 1]) + d1 / abs(dz0[0, 0]) * r0 / (1.0 - 2.0 * r0 / R) ** 2
+        assert np.max(np.abs(w - a[k - 1])) <= first_leg < r1
+        assert np.max(np.abs(z - a[M - 1])) <= image < r0
+
+
+def test_base_disk_must_lie_inside_the_univalence_disk():
+    # FMax has a pole at i = f(0), so D(a_1, R) is empty
+    with pytest.raises(BasePoleError, match=r"r0 = 0\.24 must lie below \(\|a_1\| - \|f\(0\)\|\)/2 = 0,"):
+        estimate_branch_contractions(MapFamily(tag="FMax"), 1, 40, 0.24, 0.9)
+
+
+def test_branch_inversion_memory_stays_small():
+    # one Newton row per branch: 4000 branches peak near the size of their pole table
     estimate_branch_contractions(FLAMBDA, None, 40, 0.24, 0.9)
     tracemalloc.start()
     try:
-        bs = estimate_branch_contractions(FLAMBDA, None, count, 0.24, 0.9, boundary_samples=samples)
+        bs = estimate_branch_contractions(FLAMBDA, None, 4000, 0.24, 0.9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(bs.branches) + len(bs.rejected) == count - 26
+    assert len(bs.branches) + len(bs.rejected) == 4000 - 26
     assert peak < 8e6
 
 
 def test_branch_inversion_never_evaluates_an_empty_array(monkeypatch):
-    # at 320 branches whole chunks fail the first leg: they have no second leg to invert
+    # at 320 branches most fail the first leg: they have no second leg to invert
     sizes = []
 
     def counted(family, z):
