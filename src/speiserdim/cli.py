@@ -355,7 +355,7 @@ def _estimate_rows_csv(cfg: ExperimentConfig, rows: list[tuple[str, float, float
 def cmd_dim_lower(cfg: ExperimentConfig, out: str) -> int:
     family = cfg.to_family()
     base = cfg.branch_base_index if cfg.branch_base_index > 0 else None
-    branch_set = estimate_branch_contractions(family, base, cfg.branch_count, cfg.branch_r0, cfg.branch_r1)
+    branch_set = estimate_branch_contractions(family, base, cfg.branch_count, cfg.branch_r0)
     rows: list[tuple[str, float, float, float, str]] = []
     n = len(branch_set.branches)
     for count in sorted({max(2, n // 4), max(2, n // 2), n}):

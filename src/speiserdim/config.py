@@ -10,7 +10,6 @@ from dataclasses import dataclass, fields
 
 from .elliptic import SpeiserdimError
 from .families import TAGS, MapFamily
-from .dimension import check_branch_radii
 from .dynamics import GridSpec
 
 
@@ -46,7 +45,6 @@ class ExperimentConfig:
     branch_count: int = 40
     branch_base_index: int = 0  # 0 selects the base pole automatically
     branch_r0: float = 0.24
-    branch_r1: float = 0.9
     # upper-bound pipeline
     pole_radius: float = 40.0
     series_radius: float = 1e80
@@ -107,7 +105,6 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         # are checked as FLambda checks them
         MapFamily(tag="FLambda", p=cfg.p, eta=cfg.eta, m=cfg.m, lam=cfg.lam)
         cfg.to_grid()
-        check_branch_radii(cfg.branch_r0, cfg.branch_r1)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if not 0.0 < cfg.lambda_min <= cfg.lambda_max <= 1.0:
@@ -122,8 +119,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("branch_count must be at least 2")
     if not 0 <= cfg.branch_base_index < cfg.branch_count:
         raise ConfigError("branch_base_index must be 0 (auto) or a positive index below branch_count")
-    if cfg.pole_radius <= 0 or cfg.series_radius <= 0:
-        raise ConfigError("pole_radius and series_radius must be positive")
+    if not (cfg.branch_r0 > 0 and cfg.pole_radius > 0 and cfg.series_radius > 0):
+        raise ConfigError("branch_r0, pole_radius and series_radius must be positive")
     if cfg.box_scales.strip():
         scales = _parse_int_list(cfg.box_scales, "box_scales")
         if any(s < 1 for s in scales):

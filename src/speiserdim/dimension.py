@@ -7,8 +7,9 @@ around a chosen base pole into itself: invert f near a_k, then near a_M, for
 all branches by one Newton solve per leg at a_M.  Since the base disk stays
 clear of the finite singular values, Koebe's theorems turn S_k and S_k' at
 a_M into certified bounds over the disk, among them b_k <= |S_k'|
-(estimate_branch_contractions).  The root t of sum_k b_k^t = 1 then
-lower-bounds the dimension of this IFS's limit set, and so of J, which holds it.
+(estimate_branch_contractions).  Distinct first-leg roots give disjoint images,
+so the root t of sum_k b_k^t = 1 lower-bounds the dimension of this IFS's limit
+set (Mauldin-Urbanski, Proc. LMS 1996), and so of J, which holds it.
 
 Upper bound pipeline.  The truncated series sum_j (|b_j| / |a_j|^(1+1/M))^t
 over poles decides convergence by a dyadic Cauchy-increment ratio
@@ -197,19 +198,11 @@ def auto_base_index(a: np.ndarray, b: np.ndarray, q: int, r0: float) -> int:
         raise BasePoleError(
             f"no admissible base pole among the {a.size} enumerated poles: one needs |a| > (|b|/r0)^q + r0, "
             f"about {need[-1]:.4g} at r0 = {r0:g}, and the outermost has |a| = {modulus[-1]:.4g}; "
-            "enlarge branch_count to reach such poles, or branch_r0 (with branch_r1) to lower the bound")
+            "enlarge branch_count to reach such poles, or branch_r0 to lower the bound")
     return int(admissible[0]) + 1
 
 
-def check_branch_radii(r0: float, r1: float) -> None:
-    """Raise ValueError unless 0 < r0 <= (2 - sqrt(3)) * r1 (up to 1e-12)."""
-    if r0 <= 0 or r1 <= 0:
-        raise ValueError("branch radii r0 and r1 must be positive")
-    if r0 > (2.0 - math.sqrt(3.0)) * r1 + 1e-12:
-        raise ValueError("branch radius r0 must not exceed (2 - sqrt(3)) * r1")
-
-
-def estimate_branch_contractions(family: MapFamily, M: int | None, N: int, r0: float, r1: float) -> IFSBranchSet:
+def estimate_branch_contractions(family: MapFamily, M: int | None, N: int, r0: float) -> IFSBranchSet:
     """Certified contraction constants for the inverse branches of f^2.
 
     For each pole index k in M..N (1-based, sorted by modulus), S_k = L2 o L1,
@@ -226,13 +219,18 @@ def estimate_branch_contractions(family: MapFamily, M: int | None, N: int, r0: f
     if that disk misses 0 and f(0) too, L2 is univalent on it and S_k on D(a_M, s).
     With rho = r0/s < 1 (else BasePoleError), over D(a_M, r0):
         |S_k'| >= b_k = |S_k'(a_M)| (1 - rho)/(1 + rho)^3,
-        |L1(u) - a_k| <= |w - a_k| + |L1'(a_M)| r0/(1 - r0/R)^2,
         |S_k(u) - a_M| <= |z - a_M| + |S_k'(a_M)| r0/(1 - rho)^2.
+    Distinct roots w give disjoint images: f o L1 = id and f covers D = D(a_M, R), so
+    L1_j(D) and L1_k(D) meet only if L1_j = L1_k, and x in S_j(D) and S_k(D) would put
+    f(x) in both.  A root within 1e-8 max(1, |w|) of an earlier one repeats it: Newton
+    stops below 1e-13 max(1, |a_k|), and distinct roots lie 0.009 max(1, |w|) apart and
+    more (Hm, m = 21, 4000 branches; 0.045 for FLambda).
     A branch is rejected with the first check it fails: pole cutoff, Newton residual,
-    first leg in D(a_k, r1), L2 univalent, image in D(a_M, r0), which gives b_k < 1.
+    repeated root, L2 univalent, image in D(a_M, r0), which gives b_k < 1.
     The rounding of w, z and f', about 1e-12 relative, is not covered.
     """
-    check_branch_radii(r0, r1)
+    if not r0 > 0.0:
+        raise ValueError("branch radius r0 must be positive")
     if N < 2:
         raise ValueError("N must be at least 2")
     a, b = _poles_up_to_count(family, N)
@@ -253,22 +251,26 @@ def estimate_branch_contractions(family: MapFamily, M: int | None, N: int, r0: f
     a_k = a[M - 1:N]
     w, dw, why = _invert_rows(family, a_k, b[M - 1:N], q, np.full((a_k.size, 1), a_base))
     w, d1 = w[:, 0], 1.0 / np.abs(dw[:, 0])  # |L1'(a_M)|
-    off1 = np.abs(w - a_k) + d1 * r0 / (1.0 - r0 / R) ** 2
+    solved = np.flatnonzero(why == "")
+    ws, eps = w[solved], 1e-8 * np.maximum(1.0, np.abs(w[solved]))
+    x = np.sort(ws.real)  # a repeat has a near real part, so only rare rows are compared
+    for i in np.flatnonzero(np.searchsorted(x, ws.real + eps, "right") - np.searchsorted(x, ws.real - eps) > 1):
+        j = np.flatnonzero(np.abs(ws[:i] - ws[i]) <= eps[i])
+        if j.size:
+            why[solved[i]] = f"first-leg root repeats branch {M + solved[j[0]]}'s (within 1e-8 relative)"
     reach = 2.0 * R * d1  # L1(D(a_M, s)) lies in D(w, reach)
     univalent = reach < np.minimum(np.abs(w), np.abs(w - f0))
     off0, bk = np.zeros(a_k.size), np.full(a_k.size, np.nan)
-    go = np.flatnonzero((why == "") & (off1 < r1) & univalent)
-    if go.size:  # no second leg to invert when every branch failed the first
-        z, dz, why[go] = _invert_rows(family, np.full(go.size, a_base), np.full(go.size, b_base), q, w[go, None])
-        dS = d1[go] / np.abs(dz[:, 0])  # |S_k'(a_M)|
-        off0[go] = np.abs(z[:, 0] - a_base) + dS * r0 / (1.0 - rho) ** 2
-        bk[go] = dS * (1.0 - rho) / (1.0 + rho) ** 3
+    go = np.flatnonzero((why == "") & univalent)
+    z, dz, why[go] = _invert_rows(family, np.full(go.size, a_base), np.full(go.size, b_base), q, w[go, None])
+    dS = d1[go] / np.abs(dz[:, 0])  # |S_k'(a_M)|
+    off0[go] = np.abs(z[:, 0] - a_base) + dS * r0 / (1.0 - rho) ** 2
+    bk[go] = dS * (1.0 - rho) / (1.0 + rho) ** 3
 
     branches, rejected = [], []
-    rows = zip(range(M, N + 1), a_k.tolist(), why, off1, reach, univalent, off0, bk.tolist())
-    for k, pole, why_k, o1, u, ok, o0, c in rows:
-        why_k = why_k or (f"first inverse leg left D(a_{k}, r1): max offset {o1:.3g}" if o1 >= r1 else
-                          f"second leg not univalent on D(w, {u:.3g}): it meets 0 or f(0)" if not ok else
+    rows = zip(range(M, N + 1), a_k.tolist(), why, reach, univalent, off0, bk.tolist())
+    for k, pole, why_k, u, ok, o0, c in rows:
+        why_k = why_k or (f"second leg not univalent on D(w, {u:.3g}): it meets 0 or f(0)" if not ok else
                           f"branch image escaped D(a_{M}, r0): max offset {o0:.3g}" if o0 >= r0 else "")
         if why_k:
             rejected.append((k, why_k))

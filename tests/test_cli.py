@@ -60,7 +60,7 @@ def test_config_unknown_key_reports_line():
     with pytest.raises(ConfigError, match="line 2: unknown config key 'bogus'"):
         parse_config("seed = 1\nbogus = 2\n")
     # keys that earlier versions wrote into output headers
-    for key in ("bowen_mode", "bowen_table", "series_t_hi", "threads", "branch_samples"):
+    for key in ("bowen_mode", "bowen_table", "series_t_hi", "threads", "branch_samples", "branch_r1"):
         with pytest.raises(ConfigError, match=f"line 1: unknown config key '{key}'"):
             parse_config(f"{key} = 1\n")
     with pytest.raises(ConfigError, match="line 1: expected 'key = value'"):
@@ -92,7 +92,7 @@ def test_config_type_errors():
     ("family = G\nm = 8", "odd"),
     ("guard_modulus = 1.0", "exceed 1"),
     ("guard_exits = 0", "at least 1"),
-    ("branch_r0 = 0.5\nbranch_r1 = 0.9", "2 - sqrt"),
+    ("branch_r0 = 0", "positive"),
     ("series_radius = 0", "positive"),
     ("box_scales = 0,2,4,8", "positive"),
     ("seed = -1", "nonnegative"),
@@ -472,6 +472,16 @@ def test_cli_dim_lower_names_the_modulus_a_base_pole_needs(tmp_path, capsys):
     assert "|a| > (|b|/r0)^q + r0, about 621.4 at r0 = 0.24" in err
     assert "branch_count" in err and "branch_r0" in err
     assert not out.exists()
+
+
+def test_cli_dim_lower_runs_with_a_wider_base_disk(tmp_path):
+    # r0 = 0.3 moves the first admissible base pole in to number 21
+    out = tmp_path / "lower.csv"
+    assert main(["dim-lower", "--config", write_config(tmp_path, "branch_r0 = 0.3\n"), "--out", str(out)]) == 0
+    last = [l.split(",") for l in out.read_text(encoding="utf-8").splitlines() if l.startswith("bowen_lower,")][-1]
+    assert round(float(last[1]), 4) == 0.3115
+    assert last[4] == "set=J;branches=20;base=21;rejected=0"
+
 
 def test_cli_sweep_row_after_a_zero_dimension_fails_in_place(tmp_path, monkeypatch):
     # a target inside one box at every scale has box dimension 0, where the

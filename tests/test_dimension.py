@@ -36,7 +36,6 @@ from speiserdim import (
 from speiserdim import dimension
 from speiserdim.config import ExperimentConfig
 from speiserdim.dimension import auto_base_index, default_box_scales
-from speiserdim.families import eval_deriv_array
 from speiserdim.families import _linear_fit, _poles_up_to_count
 
 
@@ -118,7 +117,7 @@ def test_synthetic_rejects_tiny_count():
 
 def test_measured_contractions_track_pole_moduli():
     fam = MapFamily(tag="H", p=1, eta=0.01)
-    bs = estimate_branch_contractions(fam, None, 40, 0.24, 0.9)
+    bs = estimate_branch_contractions(fam, None, 40, 0.24)
     assert len(bs.branches) >= 20
     assert not bs.rejected
     b = np.array([br.contraction_lower for br in bs.branches])
@@ -136,28 +135,33 @@ def test_measured_contractions_track_pole_moduli():
 def test_measured_contraction_argument_guards():
     fam = MapFamily(tag="H", p=1, eta=0.3)
     with pytest.raises(ValueError, match="positive"):
-        estimate_branch_contractions(fam, None, 10, -0.1, 0.9)
-    with pytest.raises(ValueError, match="2 - sqrt"):
-        estimate_branch_contractions(fam, None, 10, 0.5, 0.9)
+        estimate_branch_contractions(fam, None, 10, -0.1)
+    with pytest.raises(ValueError, match="positive"):
+        estimate_branch_contractions(fam, None, 10, 0.0)
     with pytest.raises(ValueError, match="at least 2"):
-        estimate_branch_contractions(fam, None, 1, 0.2, 0.9)
+        estimate_branch_contractions(fam, None, 1, 0.2)
     with pytest.raises(BasePoleError, match="base index 0"):
-        estimate_branch_contractions(fam, 0, 5, 0.2, 0.9)
+        estimate_branch_contractions(fam, 0, 5, 0.2)
 
 
 FLAMBDA = MapFamily(tag="FLambda")
-# at branch_count 80 with the default radii: base index 27, and these branches
-# leave D(a_k, r1) on their first leg
-FIRST_LEG_ESCAPES_AT_80 = [*range(55, 61), 62, 64, *range(73, 81)]
 
 
-def test_rejections_at_branch_count_80_name_the_first_leg():
-    bs = estimate_branch_contractions(FLAMBDA, None, 80, 0.24, 0.9)
+def test_every_branch_27_to_80_is_accepted():
+    bs = estimate_branch_contractions(FLAMBDA, None, 80, 0.24)
     assert bs.base_index == 27
-    assert [k for k, _ in bs.rejected] == FIRST_LEG_ESCAPES_AT_80
-    for k, why in bs.rejected:
-        assert re.fullmatch(rf"first inverse leg left D\(a_{k}, r1\): max offset \d\.\d+", why), why
-    assert sorted([br.index for br in bs.branches] + FIRST_LEG_ESCAPES_AT_80) == list(range(27, 81))
+    assert [br.index for br in bs.branches] == list(range(27, 81))
+    assert bs.rejected == ()
+
+
+def test_bowen_lower_rises_with_branch_count():
+    # each accepted set holds the last one, so the root of sum_k b_k^t = 1 can only rise
+    sets = [estimate_branch_contractions(FLAMBDA, None, n, 0.24) for n in (40, 80, 120, 400)]
+    accepted = [{br.index for br in bs.branches} for bs in sets]
+    assert all(small < large for small, large in zip(accepted, accepted[1:]))
+    t = [solve_bowen(bs) for bs in sets]
+    assert t[0] < t[1] < t[2] < t[3]
+    assert [round(x, 4) for x in t] == [0.2518, 0.3889, 0.4412, 0.5445]
 
 
 def _patched_rejections(monkeypatch, ks, patch):
@@ -171,28 +175,25 @@ def _patched_rejections(monkeypatch, ks, patch):
         return patch(*real(family, z), near)
 
     monkeypatch.setattr(dimension, "eval_deriv_array", patched)
-    bs = estimate_branch_contractions(FLAMBDA, None, 80, 0.24, 0.9)
+    bs = estimate_branch_contractions(FLAMBDA, None, 80, 0.24)
     return dict(bs.rejected), a
 
 
-def test_pole_cutoff_is_reported_before_the_first_leg_check(monkeypatch):
-    # a_31 is an accepted branch; a_55 would otherwise leave D(a_55, r1)
+def test_pole_cutoff_rejection_names_the_pole(monkeypatch):
     rejected, a = _patched_rejections(monkeypatch, [31, 55], lambda f, d, pole, near: (f, d, pole | near))
-    assert sorted(rejected) == sorted(FIRST_LEG_ESCAPES_AT_80 + [31])
+    assert sorted(rejected) == [31, 55]
     for k in (31, 55):
         assert rejected[k] == f"Newton iterate fell into the pole cutoff near {complex(a[k - 1])!r}"
-    assert rejected[56].startswith("first inverse leg left D(a_56, r1)")
 
 
-def test_newton_failure_is_reported_before_the_first_leg_check(monkeypatch):
+def test_newton_failure_rejection_names_the_pole(monkeypatch):
     # a derivative 1e6 times too large shrinks every step: 60 passes end far
     # from the root, and the residual check reports it
     rejected, a = _patched_rejections(
         monkeypatch, [31, 56], lambda f, d, pole, near: (f, np.where(near, 1e6 * d, d), pole))
-    assert sorted(rejected) == sorted(FIRST_LEG_ESCAPES_AT_80 + [31])
+    assert sorted(rejected) == [31, 56]
     for k in (31, 56):
         assert rejected[k] == f"Newton failed to invert the branch near {complex(a[k - 1])!r}"
-    assert rejected[55].startswith("first inverse leg left D(a_55, r1)")
 
 
 def test_second_leg_failures_name_the_base_pole(monkeypatch):
@@ -202,24 +203,49 @@ def test_second_leg_failures_name_the_base_pole(monkeypatch):
     assert f"(27, 'Newton iterate fell into the pole cutoff near {complex(a[26])!r}')" in str(info.value)
 
 
+def test_no_passing_first_leg_raises_with_the_reasons(monkeypatch):
+    # every first leg falls into the pole cutoff, so the second leg inverts no row
+    a = _poles_up_to_count(FLAMBDA, 80)[0]
+    with pytest.raises(DegenerateSystemError) as info:
+        _patched_rejections(monkeypatch, range(27, 81), lambda f, d, pole, near: (f, d, pole | near))
+    assert str(info.value).startswith("only 0 branch(es) survived; rejections: [(27, ")
+    for k in range(27, 31):
+        assert f"({k}, 'Newton iterate fell into the pole cutoff near {complex(a[k - 1])!r}')" in str(info.value)
+
+
+def test_repeated_first_leg_root_is_rejected_by_name(monkeypatch):
+    # branch 40 gets branch 31's root and branch 52 one 1e-9 of its modulus away:
+    # both are taken for branch 31 and rejected, the rest are kept
+    a = _poles_up_to_count(FLAMBDA, 80)[0]
+    real = dimension._invert_rows
+
+    def twinned(family, a_rows, b_rows, q, targets):
+        z, df, why = real(family, a_rows, b_rows, q, targets)
+        i, j, k = (np.flatnonzero(a_rows == a[n - 1]) for n in (31, 40, 52))
+        if i.size:  # the first leg; the second inverts near a_27 only
+            z[j], z[k] = z[i], z[i] * (1.0 + 1e-9)
+        return z, df, why
+
+    monkeypatch.setattr(dimension, "_invert_rows", twinned)
+    bs = estimate_branch_contractions(FLAMBDA, None, 80, 0.24)
+    assert dict(bs.rejected) == {k: "first-leg root repeats branch 31's (within 1e-8 relative)" for k in (40, 52)}
+    assert [br.index for br in bs.branches] == [k for k in range(27, 81) if k not in (40, 52)]
+
+
 def test_image_escaping_the_base_disk_is_rejected():
-    # base pole 24 is not admissible: most images leave D(a_24, r0), while the
-    # outer branches leave D(a_k, r1) first and never reach that check
-    bs = estimate_branch_contractions(FLAMBDA, 24, 60, 0.24, 0.9)
-    assert [br.index for br in bs.branches] == [53, 54]
+    # base pole 24 is not admissible: the images of branches 24-52 leave D(a_24, r0)
+    bs = estimate_branch_contractions(FLAMBDA, 24, 60, 0.24)
+    assert [br.index for br in bs.branches] == list(range(53, 61))
     rejected = dict(bs.rejected)
-    assert sorted(rejected) == [*range(24, 53), *range(55, 61)]
+    assert sorted(rejected) == list(range(24, 53))
     for k in range(24, 53):
         assert re.fullmatch(r"branch image escaped D\(a_24, r0\): max offset 0\.2\d+", rejected[k]), rejected[k]
-    for k in range(55, 61):
-        assert rejected[k].startswith(f"first inverse leg left D(a_{k}, r1)")
 
 
 def test_first_leg_image_meeting_a_singular_value_is_rejected(monkeypatch):
-    # a first-leg derivative 1e-2 times too small makes |L1'(a_31)| 100 times too
-    # large: the first leg still stays in D(a_31, r1), but its image disk
-    # reaches past 0, so L2 need not be univalent there; branch 55 still
-    # reports its first leg
+    # a first-leg derivative 1e-2 times too small makes |L1'(a_M)| 100 times too
+    # large for branches 31 and 55: their image disks reach past 0, so L2 need
+    # not be univalent there
     a = _poles_up_to_count(FLAMBDA, 80)[0]
     real = dimension._invert_rows
 
@@ -228,23 +254,24 @@ def test_first_leg_image_meeting_a_singular_value_is_rejected(monkeypatch):
         return z, np.where(np.isin(a_rows, a[[30, 54]])[:, None], 1e-2 * df, df), why
 
     monkeypatch.setattr(dimension, "_invert_rows", flattened)
-    bs = estimate_branch_contractions(FLAMBDA, None, 80, 0.24, 0.9)
+    bs = estimate_branch_contractions(FLAMBDA, None, 80, 0.24)
     rejected = dict(bs.rejected)
-    assert sorted(rejected) == sorted(FIRST_LEG_ESCAPES_AT_80 + [31])
-    assert re.fullmatch(r"second leg not univalent on D\(w, 1\d\.\d\): it meets 0 or f\(0\)",
-                        rejected[31]), rejected[31]
-    assert rejected[55].startswith("first inverse leg left D(a_55, r1)")
+    assert sorted(rejected) == [31, 55]
+    for k in (31, 55):
+        assert re.fullmatch(r"second leg not univalent on D\(w, \d\d\.\d\): it meets 0 or f\(0\)",
+                            rejected[k]), rejected[k]
 
 
-@pytest.mark.parametrize("family", [FLAMBDA, MapFamily(tag="FLambda", lam=0.5), MapFamily(tag="Hm", m=21)],
-                         ids=["default", "lam0.5", "Hm21"])
-def test_branch_bounds_hold_on_a_dense_circle(family):
+@pytest.mark.parametrize("family, count", [
+    (FLAMBDA, 94), (MapFamily(tag="FLambda", lam=0.5), 94), (MapFamily(tag="Hm", m=21), 14),
+], ids=["default", "lam0.5", "Hm21"])
+def test_branch_bounds_hold_on_a_dense_circle(family, count):
     # the bounds come from one inversion at a_M; here each accepted branch is
     # inverted at 4096 points of |u - a_M| = r0, where the extremes over the
-    # disk lie (maximum modulus, applied to L1 - a_k, S_k - a_M and 1/S_k')
-    r0, r1 = 0.24, 0.9
-    bs = estimate_branch_contractions(family, None, 120, r0, r1)
-    assert len(bs.branches) >= 14
+    # disk lie (maximum modulus, applied to S_k - a_M and 1/S_k')
+    r0 = 0.24
+    bs = estimate_branch_contractions(family, None, 120, r0)
+    assert len(bs.branches) == count
     a, b = _poles_up_to_count(family, 120)
     q, M = family.pole_multiplicity, bs.base_index
     R = abs(a[M - 1]) - abs(family.eta)
@@ -255,47 +282,30 @@ def test_branch_bounds_hold_on_a_dense_circle(family):
         z, dz, why2 = dimension._invert_rows(family, a[[M - 1]], b[[M - 1]], q, w)
         assert why[0] == why2[0] == ""
         assert np.min(1.0 / np.abs(dz * dw)) >= br.contraction_lower
-        # the offset bounds, recomputed from the branch's inversion at a_M
+        # the image bound, recomputed from the branch's inversion at a_M
         w0, dw0, _ = dimension._invert_rows(family, a[[k - 1]], b[[k - 1]], q, a[[M - 1], None])
         z0, dz0, _ = dimension._invert_rows(family, a[[M - 1]], b[[M - 1]], q, w0)
-        d1 = 1.0 / abs(dw0[0, 0])
-        first_leg = abs(w0[0, 0] - a[k - 1]) + d1 * r0 / (1.0 - r0 / R) ** 2
-        image = abs(z0[0, 0] - a[M - 1]) + d1 / abs(dz0[0, 0]) * r0 / (1.0 - 2.0 * r0 / R) ** 2
-        assert np.max(np.abs(w - a[k - 1])) <= first_leg < r1
+        image = abs(z0[0, 0] - a[M - 1]) + 1.0 / abs(dw0[0, 0] * dz0[0, 0]) * r0 / (1.0 - 2.0 * r0 / R) ** 2
         assert np.max(np.abs(z - a[M - 1])) <= image < r0
 
 
 def test_base_disk_must_lie_inside_the_univalence_disk():
     # FMax has a pole at i = f(0), so D(a_1, R) is empty
     with pytest.raises(BasePoleError, match=r"r0 = 0\.24 must lie below \(\|a_1\| - \|f\(0\)\|\)/2 = 0,"):
-        estimate_branch_contractions(MapFamily(tag="FMax"), 1, 40, 0.24, 0.9)
+        estimate_branch_contractions(MapFamily(tag="FMax"), 1, 40, 0.24)
 
 
 def test_branch_inversion_memory_stays_small():
     # one Newton row per branch: 4000 branches peak near the size of their pole table
-    estimate_branch_contractions(FLAMBDA, None, 40, 0.24, 0.9)
+    estimate_branch_contractions(FLAMBDA, None, 40, 0.24)
     tracemalloc.start()
     try:
-        bs = estimate_branch_contractions(FLAMBDA, None, 4000, 0.24, 0.9)
+        bs = estimate_branch_contractions(FLAMBDA, None, 4000, 0.24)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(bs.branches) + len(bs.rejected) == 4000 - 26
     assert peak < 8e6
-
-
-def test_branch_inversion_never_evaluates_an_empty_array(monkeypatch):
-    # at 320 branches most fail the first leg: they have no second leg to invert
-    sizes = []
-
-    def counted(family, z):
-        sizes.append(np.size(z))
-        return eval_deriv_array(family, z)
-
-    monkeypatch.setattr(dimension, "eval_deriv_array", counted)
-    bs = estimate_branch_contractions(FLAMBDA, None, 320, 0.24, 0.9)
-    assert len(bs.rejected) > 64 and len(bs.branches) >= 2
-    assert min(sizes) > 0
 
 
 def test_auto_base_index_picks_first_admissible_pole():
