@@ -354,14 +354,14 @@ def _estimate_rows_csv(cfg: ExperimentConfig, rows: list[tuple[str, float, float
 
 def cmd_dim_lower(cfg: ExperimentConfig, out: str) -> int:
     family = cfg.to_family()
-    base = cfg.branch_base_index if cfg.branch_base_index > 0 else None
-    branch_set = estimate_branch_contractions(family, base, cfg.branch_count, cfg.branch_r0)
+    branch_set = estimate_branch_contractions(family, cfg.branch_count)
     rows: list[tuple[str, float, float, float, str]] = []
     n = len(branch_set.branches)
     for count in sorted({max(2, n // 4), max(2, n // 2), n}):
         t = solve_bowen(IFSBranchSet(branch_set.branches[:count], branch_set.base_index))
         rows.append(("bowen_lower", t, t, 2.0,
-                     f"set=J;branches={count};base={branch_set.base_index};rejected={len(branch_set.rejected)}"))
+                     f"set=J;branches={count};base={branch_set.base_index};r0={branch_set.base_radius:.6g};"
+                     f"rejected={len(branch_set.rejected)}"))
     if family.order == 2:  # formula_lower's theorem is for elliptic functions
         q = family.pole_multiplicity
         fl = formula_lower(q)

@@ -43,8 +43,6 @@ class ExperimentConfig:
     guard_exits: int = 2
     # lower-bound pipeline
     branch_count: int = 40
-    branch_base_index: int = 0  # 0 selects the base pole automatically
-    branch_r0: float = 0.24
     # upper-bound pipeline
     pole_radius: float = 40.0
     series_radius: float = 1e80
@@ -117,10 +115,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("guard_exits must be at least 1")
     if cfg.branch_count < 2:
         raise ConfigError("branch_count must be at least 2")
-    if not 0 <= cfg.branch_base_index < cfg.branch_count:
-        raise ConfigError("branch_base_index must be 0 (auto) or a positive index below branch_count")
-    if not (cfg.branch_r0 > 0 and cfg.pole_radius > 0 and cfg.series_radius > 0):
-        raise ConfigError("branch_r0, pole_radius and series_radius must be positive")
+    if not (cfg.pole_radius > 0 and cfg.series_radius > 0):
+        raise ConfigError("pole_radius and series_radius must be positive")
     if cfg.box_scales.strip():
         scales = _parse_int_list(cfg.box_scales, "box_scales")
         if any(s < 1 for s in scales):

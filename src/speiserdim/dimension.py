@@ -59,7 +59,7 @@ class DegenerateMultiplierError(SpeiserdimError, ValueError):
 
 
 class BasePoleError(SpeiserdimError, ValueError):
-    """No admissible base pole, or a base index outside 1 <= M < branch_count."""
+    """No pole among the first branch_count has 4|b_M| < |a_M| - |f(0)|, the base rule."""
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,7 @@ class IFSBranchSet:
     branches: tuple[IFSBranch, ...]
     base_index: int
     rejected: tuple[tuple[int, str], ...] = ()
+    base_radius: float = math.nan  # r0 of the base disk D(a_M, r0)
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,13 @@ def formula_lower(q: int) -> float:
 
 
 def solve_bowen(branch_set: IFSBranchSet) -> float:
-    """Unique t > 0 with sum_k b_k^t = 1, by bisection to 1e-12."""
+    """A t > 0 within 1e-12 below the root of sum_k b_k^t = 1, where the sum is shown > 1.
+
+    Bisection keeps the lower end, where the float sum s exceeds 1 + n eps (n branches,
+    eps = 2^-52, so the threshold is exact).  Taking np.power within one ulp (eps
+    relative) per term, and n - 1 additions of positive terms in any order within
+    (n - 1) eps/2 relative, s is at most 1 + (n + 1) eps/2 + O(eps^2) times the exact
+    sum, which is then above 1, so t lies below the root."""
     b = np.array([br.contraction_lower for br in branch_set.branches], dtype=float)
     if b.size < 2:
         raise DegenerateSystemError(
@@ -127,25 +134,26 @@ def solve_bowen(branch_set: IFSBranchSet) -> float:
     if ((b <= 0.0) | (b >= 1.0)).any():
         bad = b[(b <= 0.0) | (b >= 1.0)]
         raise ContractionViolationError(f"branch constants outside (0, 1): {bad[:4]!r}")
+    threshold = 1.0 + b.size * np.finfo(float).eps
 
-    def gap(t: float) -> float:
-        return float(np.sum(b ** t)) - 1.0
+    def above(t: float) -> bool:
+        return float(np.sum(b ** t)) > threshold
 
-    lo, hi = 0.0, 1.0
-    while gap(hi) > 0.0:
+    hi = 1.0
+    while above(hi):
         hi *= 2.0
         if hi > 1e6:
             raise ContractionViolationError("contraction sum does not drop below 1")
-    return _bisect(lambda t: gap(t) > 0.0, lo, hi, 1e-12)
+    return _bisect(above, 0.0, hi, 1e-12)[0]
 
 
-def _bisect(above, lo: float, hi: float, xtol: float) -> float:
+def _bisect(above, lo: float, hi: float, xtol: float) -> tuple[float, float]:
     """Halve [lo, hi] to width xtol, moving lo to midpoints where above(t) holds and
-    hi to the others, and return the last midpoint."""
+    hi to the others, and return the last (lo, hi)."""
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if above(mid) else (lo, mid)
-    return 0.5 * (lo + hi)
+    return lo, hi
 
 
 def synthetic_lattice_branches(count: int, q: int = 4, scale: float = 2.0) -> IFSBranchSet:
@@ -189,20 +197,7 @@ def _invert_rows(family: MapFamily, a: np.ndarray, b: np.ndarray, q: int, target
     return z, df, why
 
 
-def auto_base_index(a: np.ndarray, b: np.ndarray, q: int, r0: float) -> int:
-    """First 1-based index whose pole a is far enough out that the disk
-    D(a, r0) maps over every later pole: |a| > (|b|/r0)^q + r0."""
-    modulus, need = np.hypot(a.real, a.imag), (b / r0) ** q + r0
-    admissible = np.flatnonzero(modulus > need)
-    if admissible.size == 0:
-        raise BasePoleError(
-            f"no admissible base pole among the {a.size} enumerated poles: one needs |a| > (|b|/r0)^q + r0, "
-            f"about {need[-1]:.4g} at r0 = {r0:g}, and the outermost has |a| = {modulus[-1]:.4g}; "
-            "enlarge branch_count to reach such poles, or branch_r0 to lower the bound")
-    return int(admissible[0]) + 1
-
-
-def estimate_branch_contractions(family: MapFamily, M: int | None, N: int, r0: float) -> IFSBranchSet:
+def estimate_branch_contractions(family: MapFamily, N: int) -> IFSBranchSet:
     """Certified contraction constants for the inverse branches of f^2.
 
     For each pole index k in M..N (1-based, sorted by modulus), S_k = L2 o L1,
@@ -217,7 +212,9 @@ def estimate_branch_contractions(family: MapFamily, M: int | None, N: int, r0: f
     (f(0) = 1 for G, i for FMax, eta otherwise), so L1 is univalent on it.  At
     s = R/2 (basin_radius's t = 1/2) growth puts L1(D(a_M, s)) in D(w, 2R |L1'(a_M)|);
     if that disk misses 0 and f(0) too, L2 is univalent on it and S_k on D(a_M, s).
-    With rho = r0/s < 1 (else BasePoleError), over D(a_M, r0):
+    The base is the first pole with 4|b_M| < R, and r0 = |b_M|: the leading term
+    (b_M/(z - a_M))^q maps D(a_M, r0) onto {|v| > 1}, so the radius needs no
+    map-specific scale, and the rule makes rho = r0/s = 2 r0/R < 1/2.  Over D(a_M, r0):
         |S_k'| >= b_k = |S_k'(a_M)| (1 - rho)/(1 + rho)^3,
         |S_k(u) - a_M| <= |z - a_M| + |S_k'(a_M)| r0/(1 - rho)^2.
     Distinct roots w give disjoint images: f o L1 = id and f covers D = D(a_M, R), so
@@ -229,24 +226,19 @@ def estimate_branch_contractions(family: MapFamily, M: int | None, N: int, r0: f
     repeated root, L2 univalent, image in D(a_M, r0), which gives b_k < 1.
     The rounding of w, z and f', about 1e-12 relative, is not covered.
     """
-    if not r0 > 0.0:
-        raise ValueError("branch radius r0 must be positive")
     if N < 2:
         raise ValueError("N must be at least 2")
     a, b = _poles_up_to_count(family, N)
     q = family.pole_multiplicity
-    if M is None:
-        M = auto_base_index(a, np.hypot(b.real, b.imag), q, r0)
-    if not 1 <= M < N:
-        raise BasePoleError(f"base index {M} must satisfy 1 <= M < N = {N}, where N is branch_count")
-
-    a_base, b_base = complex(a[M - 1]), complex(b[M - 1])
     f0 = {"G": 1.0, "FMax": 1j}.get(family.tag, family.eta)
-    R = abs(a_base) - abs(f0)
-    if not 2.0 * r0 < R:
-        raise BasePoleError(f"r0 = {r0:g} must lie below (|a_{M}| - |f(0)|)/2 = {R / 2.0:.4g}, "
-                            "where the branches are univalent; pick a farther base pole")
-    rho = 2.0 * r0 / R  # r0/s
+    radii, R = np.abs(b[:N]), np.abs(a[:N]) - abs(f0)
+    base = np.flatnonzero(4.0 * radii < R)
+    if not base.size:
+        raise BasePoleError(f"no base pole among the first {N} (branch_count): none has 4|b_M| < |a_M| - |f(0)|; "
+                            "enlarge branch_count")
+    M = int(base[0]) + 1
+    a_base, b_base, r0, R = complex(a[M - 1]), complex(b[M - 1]), float(radii[M - 1]), float(R[M - 1])
+    rho = 2.0 * r0 / R  # r0/s < 1/2
 
     a_k = a[M - 1:N]
     w, dw, why = _invert_rows(family, a_k, b[M - 1:N], q, np.full((a_k.size, 1), a_base))
@@ -278,7 +270,7 @@ def estimate_branch_contractions(family: MapFamily, M: int | None, N: int, r0: f
             branches.append(IFSBranch(index=k, contraction_lower=c, pole_location=pole))
     if len(branches) < 2:
         raise DegenerateSystemError(f"only {len(branches)} branch(es) survived; rejections: {rejected[:4]!r}")
-    return IFSBranchSet(branches=tuple(branches), base_index=M, rejected=tuple(rejected))
+    return IFSBranchSet(branches=tuple(branches), base_index=M, rejected=tuple(rejected), base_radius=r0)
 
 
 def series_terms(poles, t: float) -> np.ndarray:
@@ -320,7 +312,8 @@ def series_exponent(poles, t_hi: float = 4.0) -> DimensionEstimate:
     r_max = _increment_ratio(bases, t_hi)
 
     def ratio_root(level: float) -> float:  # the ratio decreases in t
-        return _bisect(lambda t: _increment_ratio(bases, t) > level, t_min, t_hi, 1e-4)
+        lo, hi = _bisect(lambda t: _increment_ratio(bases, t) > level, t_min, t_hi, 1e-4)
+        return 0.5 * (lo + hi)
 
     if r_min <= 1.0:
         value = 0.0 if r_min < 1.0 else t_min

@@ -5,6 +5,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,9 @@ from speiserdim.cli import main
 from speiserdim.config import validate_config
 from speiserdim.dimension import box_counting
 from speiserdim.dynamics import LinearizationDomainError
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -60,11 +64,25 @@ def test_config_unknown_key_reports_line():
     with pytest.raises(ConfigError, match="line 2: unknown config key 'bogus'"):
         parse_config("seed = 1\nbogus = 2\n")
     # keys that earlier versions wrote into output headers
-    for key in ("bowen_mode", "bowen_table", "series_t_hi", "threads", "branch_samples", "branch_r1"):
+    for key in ("bowen_mode", "bowen_table", "series_t_hi", "threads", "branch_samples", "branch_r1",
+                "branch_r0", "branch_base_index"):
         with pytest.raises(ConfigError, match=f"line 1: unknown config key '{key}'"):
             parse_config(f"{key} = 1\n")
     with pytest.raises(ConfigError, match="line 1: expected 'key = value'"):
         parse_config("seed 1\n")
+
+
+def test_readme_config_keys_name_every_field():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("\n## Config keys\n"):]
+    section = section[:section.index("\n## ", 1)]
+    assert [f.name for f in fields(ExperimentConfig) if f"`{f.name}`" not in section] == []
+
+
+def test_readme_library_example_runs(capsys):
+    block, = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    exec(compile(block, str(README), "exec"), {})
+    assert "lower bound:" in capsys.readouterr().out
 
 
 def test_config_type_errors():
@@ -92,7 +110,7 @@ def test_config_type_errors():
     ("family = G\nm = 8", "odd"),
     ("guard_modulus = 1.0", "exceed 1"),
     ("guard_exits = 0", "at least 1"),
-    ("branch_r0 = 0", "positive"),
+    ("pole_radius = 0", "positive"),
     ("series_radius = 0", "positive"),
     ("box_scales = 0,2,4,8", "positive"),
     ("seed = -1", "nonnegative"),
@@ -440,47 +458,28 @@ def test_cli_sweep_rejects_too_few_box_scales_before_rendering(tmp_path, monkeyp
 
 
 
-def test_cli_dim_lower_rejects_a_base_index_past_branch_count(tmp_path, capsys):
-    cfg = write_config(tmp_path, "branch_base_index = 50\n")
-    out = tmp_path / "dim_lower.csv"
-    assert main(["dim-lower", "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:")
-    assert "branch_base_index" in err and "branch_count" in err
-    assert not out.exists()
-
-
-def test_cli_dim_lower_names_branch_count_when_the_base_pole_lies_past_it(tmp_path, capsys):
-    # the default FLambda's first admissible base pole is number 27
-    cfg = write_config(tmp_path, "branch_count = 20\n")
-    out = tmp_path / "dim_lower.csv"
-    assert main(["dim-lower", "--config", cfg, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: base index 27 must satisfy 1 <= M < N = 20")
-    assert "branch_count" in err
-    assert not out.exists()
-
-
-def test_cli_dim_lower_names_the_modulus_a_base_pole_needs(tmp_path, capsys):
-    # G's |b| = e1^(-1/2) ~ 1.198 needs |a| > (1.198 / 0.24)^4 + 0.24 ~ 621,
-    # about 120,000 poles deep, where branch_count enumerates 44
-    cfg = write_config(tmp_path, "family = G\n")
-    out = tmp_path / "dim_lower.csv"
-    assert main(["dim-lower", "--config", cfg, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: no admissible base pole among the 44 enumerated poles")
-    assert "|a| > (|b|/r0)^q + r0, about 621.4 at r0 = 0.24" in err
-    assert "branch_count" in err and "branch_r0" in err
-    assert not out.exists()
-
-
-def test_cli_dim_lower_runs_with_a_wider_base_disk(tmp_path):
-    # r0 = 0.3 moves the first admissible base pole in to number 21
+@pytest.mark.parametrize("text", [
+    "family = G\n", "family = FMax\n", "family = H\n", "family = Hm\nm = 21\n", "lam = 0.3\n", "p = 2\nlam = 0.8\n",
+], ids=["G", "FMax", "H", "Hm21", "FLambda-lam0.3", "FLambda-p2-lam0.8"])
+def test_cli_dim_lower_certifies_every_family_at_the_default_branch_count(tmp_path, text):
     out = tmp_path / "lower.csv"
-    assert main(["dim-lower", "--config", write_config(tmp_path, "branch_r0 = 0.3\n"), "--out", str(out)]) == 0
-    last = [l.split(",") for l in out.read_text(encoding="utf-8").splitlines() if l.startswith("bowen_lower,")][-1]
-    assert round(float(last[1]), 4) == 0.3115
-    assert last[4] == "set=J;branches=20;base=21;rejected=0"
+    assert main(["dim-lower", "--config", write_config(tmp_path, text), "--out", str(out)]) == 0
+    rows = [l.split(",") for l in out.read_text(encoding="utf-8").splitlines() if not l.startswith("#")][1:]
+    bowen = [float(row[1]) for row in rows if row[0] == "bowen_lower"]
+    assert len(bowen) == 3 and 0.0 < bowen[0] < bowen[1] < bowen[2]
+    assert all(re.fullmatch(r"set=J;branches=\d+;base=\d+;r0=[\d.]+;rejected=0", row[4]) for row in rows[:3])
+    order_2 = MapFamily(tag=parse_config(text).family).order == 2
+    assert [row[0] for row in rows[3:]] == (["formula_lower"] if order_2 else [])
+
+
+def test_cli_dim_lower_names_the_rule_when_the_base_pole_lies_past_branch_count(tmp_path, capsys):
+    # G's first pole with 4|b| < |a| - |f(0)| is number 13
+    cfg = write_config(tmp_path, "family = G\nbranch_count = 10\n")
+    out = tmp_path / "dim_lower.csv"
+    assert main(["dim-lower", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no base pole among the first 10 (branch_count): none has 4|b_M| < |a_M| - |f(0)|")
+    assert not out.exists()
 
 
 def test_cli_sweep_row_after_a_zero_dimension_fails_in_place(tmp_path, monkeypatch):

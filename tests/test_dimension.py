@@ -1,8 +1,10 @@
 """Dimension machinery: Bowen solver, measured branches, pole series,
 box counting, and quasiconformal envelopes."""
+import decimal
 import math
 import re
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -34,8 +36,9 @@ from speiserdim import (
     synthetic_lattice_branches,
 )
 from speiserdim import dimension
+from speiserdim.cli import main
 from speiserdim.config import ExperimentConfig
-from speiserdim.dimension import auto_base_index, default_box_scales
+from speiserdim.dimension import default_box_scales
 from speiserdim.families import _linear_fit, _poles_up_to_count
 
 
@@ -59,9 +62,9 @@ def pseries_poles(n=4096):
 
 
 def test_bowen_equal_halves():
-    # sum of N copies of (1/2)**t hits 1 at t = log2(N)
-    assert abs(solve_bowen(make_branch_set([0.5, 0.5])) - 1.0) < 1e-12
-    assert abs(solve_bowen(make_branch_set([0.5] * 4)) - 2.0) < 1e-12
+    # sum of N copies of (1/2)**t hits 1 at t = log2(N); the solver returns t from below
+    assert 0.0 < 1.0 - solve_bowen(make_branch_set([0.5, 0.5])) < 1e-12
+    assert 0.0 < 2.0 - solve_bowen(make_branch_set([0.5] * 4)) < 1e-12
 
 
 def test_bowen_exact_power_law():
@@ -91,6 +94,23 @@ def test_bowen_monotone_under_branch_removal():
         assert t_sub <= t_full + 1e-10
 
 
+@pytest.mark.parametrize("count", [40, 80, 400, 2540])
+def test_bowen_rows_lie_below_the_root(tmp_path, count):
+    # sum_k b_k^t decreases in t, so a reported t with the sum >= 1, recomputed
+    # in 50-digit arithmetic from the same float b_k and t, is at most the root
+    cfg, out = tmp_path / "run.cfg", tmp_path / "lower.csv"
+    cfg.write_text(f"branch_count = {count}\n", encoding="utf-8")
+    assert main(["dim-lower", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = [l.split(",") for l in out.read_text(encoding="utf-8").splitlines() if l.startswith("bowen_lower,")]
+    assert len(rows) == 3
+    ctx = decimal.Context(prec=50)
+    logs = [ctx.ln(Decimal(br.contraction_lower)) for br in estimate_branch_contractions(FLAMBDA, count).branches]
+    for row in rows:
+        n, t = int(re.search(r"branches=(\d+);", row[4])[1]), Decimal(float(row[1]))
+        total = sum((ctx.exp(ctx.multiply(t, x)) for x in logs[:n]), Decimal(0))
+        assert total >= 1, (n, row[1], total - 1)
+
+
 def test_synthetic_branches_follow_power_law():
     bs = synthetic_lattice_branches(50)
     assert bs.base_index == 1
@@ -117,7 +137,7 @@ def test_synthetic_rejects_tiny_count():
 
 def test_measured_contractions_track_pole_moduli():
     fam = MapFamily(tag="H", p=1, eta=0.01)
-    bs = estimate_branch_contractions(fam, None, 40, 0.24)
+    bs = estimate_branch_contractions(fam, 40)
     assert len(bs.branches) >= 20
     assert not bs.rejected
     b = np.array([br.contraction_lower for br in bs.branches])
@@ -133,35 +153,32 @@ def test_measured_contractions_track_pole_moduli():
 
 
 def test_measured_contraction_argument_guards():
-    fam = MapFamily(tag="H", p=1, eta=0.3)
-    with pytest.raises(ValueError, match="positive"):
-        estimate_branch_contractions(fam, None, 10, -0.1)
-    with pytest.raises(ValueError, match="positive"):
-        estimate_branch_contractions(fam, None, 10, 0.0)
     with pytest.raises(ValueError, match="at least 2"):
-        estimate_branch_contractions(fam, None, 1, 0.2)
-    with pytest.raises(BasePoleError, match="base index 0"):
-        estimate_branch_contractions(fam, 0, 5, 0.2)
+        estimate_branch_contractions(MapFamily(tag="H", p=1, eta=0.3), 1)
+    # G's first pole with 4|b| < |a| - |f(0)| is number 13
+    with pytest.raises(BasePoleError, match=r"among the first 12 \(branch_count\): none has 4\|b_M\| < "):
+        estimate_branch_contractions(MapFamily(tag="G"), 12)
+    assert estimate_branch_contractions(MapFamily(tag="G"), 14).base_index == 13
 
 
 FLAMBDA = MapFamily(tag="FLambda")
 
 
-def test_every_branch_27_to_80_is_accepted():
-    bs = estimate_branch_contractions(FLAMBDA, None, 80, 0.24)
-    assert bs.base_index == 27
-    assert [br.index for br in bs.branches] == list(range(27, 81))
+def test_every_branch_7_to_80_is_accepted():
+    bs = estimate_branch_contractions(FLAMBDA, 80)
+    assert bs.base_index == 7
+    assert [br.index for br in bs.branches] == list(range(7, 81))
     assert bs.rejected == ()
 
 
 def test_bowen_lower_rises_with_branch_count():
     # each accepted set holds the last one, so the root of sum_k b_k^t = 1 can only rise
-    sets = [estimate_branch_contractions(FLAMBDA, None, n, 0.24) for n in (40, 80, 120, 400)]
+    sets = [estimate_branch_contractions(FLAMBDA, n) for n in (40, 80, 120, 400)]
     accepted = [{br.index for br in bs.branches} for bs in sets]
     assert all(small < large for small, large in zip(accepted, accepted[1:]))
     t = [solve_bowen(bs) for bs in sets]
     assert t[0] < t[1] < t[2] < t[3]
-    assert [round(x, 4) for x in t] == [0.2518, 0.3889, 0.4412, 0.5445]
+    assert [round(x, 4) for x in t] == [0.3796, 0.4591, 0.5012, 0.5964]
 
 
 def _patched_rejections(monkeypatch, ks, patch):
@@ -175,14 +192,14 @@ def _patched_rejections(monkeypatch, ks, patch):
         return patch(*real(family, z), near)
 
     monkeypatch.setattr(dimension, "eval_deriv_array", patched)
-    bs = estimate_branch_contractions(FLAMBDA, None, 80, 0.24)
+    bs = estimate_branch_contractions(FLAMBDA, 80)
     return dict(bs.rejected), a
 
 
 def test_pole_cutoff_rejection_names_the_pole(monkeypatch):
-    rejected, a = _patched_rejections(monkeypatch, [31, 55], lambda f, d, pole, near: (f, d, pole | near))
-    assert sorted(rejected) == [31, 55]
-    for k in (31, 55):
+    rejected, a = _patched_rejections(monkeypatch, [31, 52], lambda f, d, pole, near: (f, d, pole | near))
+    assert sorted(rejected) == [31, 52]
+    for k in (31, 52):
         assert rejected[k] == f"Newton iterate fell into the pole cutoff near {complex(a[k - 1])!r}"
 
 
@@ -190,26 +207,26 @@ def test_newton_failure_rejection_names_the_pole(monkeypatch):
     # a derivative 1e6 times too large shrinks every step: 60 passes end far
     # from the root, and the residual check reports it
     rejected, a = _patched_rejections(
-        monkeypatch, [31, 56], lambda f, d, pole, near: (f, np.where(near, 1e6 * d, d), pole))
-    assert sorted(rejected) == [31, 56]
-    for k in (31, 56):
+        monkeypatch, [31, 52], lambda f, d, pole, near: (f, np.where(near, 1e6 * d, d), pole))
+    assert sorted(rejected) == [31, 52]
+    for k in (31, 52):
         assert rejected[k] == f"Newton failed to invert the branch near {complex(a[k - 1])!r}"
 
 
 def test_second_leg_failures_name_the_base_pole(monkeypatch):
     a = _poles_up_to_count(FLAMBDA, 80)[0]
     with pytest.raises(DegenerateSystemError) as info:
-        _patched_rejections(monkeypatch, [27], lambda f, d, pole, near: (f, d, pole | near))
-    assert f"(27, 'Newton iterate fell into the pole cutoff near {complex(a[26])!r}')" in str(info.value)
+        _patched_rejections(monkeypatch, [7], lambda f, d, pole, near: (f, d, pole | near))
+    assert f"(7, 'Newton iterate fell into the pole cutoff near {complex(a[6])!r}')" in str(info.value)
 
 
 def test_no_passing_first_leg_raises_with_the_reasons(monkeypatch):
     # every first leg falls into the pole cutoff, so the second leg inverts no row
     a = _poles_up_to_count(FLAMBDA, 80)[0]
     with pytest.raises(DegenerateSystemError) as info:
-        _patched_rejections(monkeypatch, range(27, 81), lambda f, d, pole, near: (f, d, pole | near))
-    assert str(info.value).startswith("only 0 branch(es) survived; rejections: [(27, ")
-    for k in range(27, 31):
+        _patched_rejections(monkeypatch, range(7, 81), lambda f, d, pole, near: (f, d, pole | near))
+    assert str(info.value).startswith("only 0 branch(es) survived; rejections: [(7, ")
+    for k in range(7, 11):
         assert f"({k}, 'Newton iterate fell into the pole cutoff near {complex(a[k - 1])!r}')" in str(info.value)
 
 
@@ -222,24 +239,37 @@ def test_repeated_first_leg_root_is_rejected_by_name(monkeypatch):
     def twinned(family, a_rows, b_rows, q, targets):
         z, df, why = real(family, a_rows, b_rows, q, targets)
         i, j, k = (np.flatnonzero(a_rows == a[n - 1]) for n in (31, 40, 52))
-        if i.size:  # the first leg; the second inverts near a_27 only
+        if i.size:  # the first leg; the second inverts near a_7 only
             z[j], z[k] = z[i], z[i] * (1.0 + 1e-9)
         return z, df, why
 
     monkeypatch.setattr(dimension, "_invert_rows", twinned)
-    bs = estimate_branch_contractions(FLAMBDA, None, 80, 0.24)
+    bs = estimate_branch_contractions(FLAMBDA, 80)
     assert dict(bs.rejected) == {k: "first-leg root repeats branch 31's (within 1e-8 relative)" for k in (40, 52)}
-    assert [br.index for br in bs.branches] == [k for k in range(27, 81) if k not in (40, 52)]
+    assert [br.index for br in bs.branches] == [k for k in range(7, 81) if k not in (40, 52)]
 
 
-def test_image_escaping_the_base_disk_is_rejected():
-    # base pole 24 is not admissible: the images of branches 24-52 leave D(a_24, r0)
-    bs = estimate_branch_contractions(FLAMBDA, 24, 60, 0.24)
-    assert [br.index for br in bs.branches] == list(range(53, 61))
-    rejected = dict(bs.rejected)
-    assert sorted(rejected) == list(range(24, 53))
-    for k in range(24, 53):
-        assert re.fullmatch(r"branch image escaped D\(a_24, r0\): max offset 0\.2\d+", rejected[k]), rejected[k]
+def test_image_escaping_the_base_disk_is_rejected(monkeypatch):
+    # branch 31's second-leg root is moved to 2 r0 from a_M, so its image
+    # bound leaves D(a_M, r0); every other branch is kept
+    a = _poles_up_to_count(FLAMBDA, 80)[0]
+    real = dimension._invert_rows
+    first_leg = {}
+
+    def pushed(family, a_rows, b_rows, q, targets):
+        z, df, why = real(family, a_rows, b_rows, q, targets)
+        if not first_leg:
+            first_leg["w"] = z[a_rows == a[30], 0]
+        else:
+            row = targets[:, 0] == first_leg["w"]
+            z[row] = a_rows[row, None] + 2.0 * np.abs(b_rows[row, None])
+        return z, df, why
+
+    monkeypatch.setattr(dimension, "_invert_rows", pushed)
+    bs = estimate_branch_contractions(FLAMBDA, 80)
+    assert [br.index for br in bs.branches] == [k for k in range(7, 81) if k != 31]
+    # the bound is 2 r0 = 2.022 plus the Koebe growth term
+    assert bs.rejected == ((31, "branch image escaped D(a_7, r0): max offset 2.02"),)
 
 
 def test_first_leg_image_meeting_a_singular_value_is_rejected(monkeypatch):
@@ -254,7 +284,7 @@ def test_first_leg_image_meeting_a_singular_value_is_rejected(monkeypatch):
         return z, np.where(np.isin(a_rows, a[[30, 54]])[:, None], 1e-2 * df, df), why
 
     monkeypatch.setattr(dimension, "_invert_rows", flattened)
-    bs = estimate_branch_contractions(FLAMBDA, None, 80, 0.24)
+    bs = estimate_branch_contractions(FLAMBDA, 80)
     rejected = dict(bs.rejected)
     assert sorted(rejected) == [31, 55]
     for k in (31, 55):
@@ -263,18 +293,22 @@ def test_first_leg_image_meeting_a_singular_value_is_rejected(monkeypatch):
 
 
 @pytest.mark.parametrize("family, count", [
-    (FLAMBDA, 94), (MapFamily(tag="FLambda", lam=0.5), 94), (MapFamily(tag="Hm", m=21), 14),
-], ids=["default", "lam0.5", "Hm21"])
+    (FLAMBDA, 114), (MapFamily(tag="FLambda", lam=0.5), 114), (MapFamily(tag="Hm", m=21), 114),
+    (MapFamily(tag="G"), 108), (MapFamily(tag="FMax"), 108),
+], ids=["default", "lam0.5", "Hm21", "G", "FMax"])
 def test_branch_bounds_hold_on_a_dense_circle(family, count):
     # the bounds come from one inversion at a_M; here each accepted branch is
     # inverted at 4096 points of |u - a_M| = r0, where the extremes over the
     # disk lie (maximum modulus, applied to S_k - a_M and 1/S_k')
-    r0 = 0.24
-    bs = estimate_branch_contractions(family, None, 120, r0)
-    assert len(bs.branches) == count
     a, b = _poles_up_to_count(family, 120)
-    q, M = family.pole_multiplicity, bs.base_index
-    R = abs(a[M - 1]) - abs(family.eta)
+    f0 = {"G": 1.0, "FMax": 1j}.get(family.tag, family.eta)
+    R = np.abs(a) - abs(f0)
+    M = int(np.flatnonzero(4.0 * np.abs(b) < R)[0]) + 1  # the base rule
+    r0, R = abs(b[M - 1]), R[M - 1]
+    bs = estimate_branch_contractions(family, 120)
+    assert (bs.base_index, bs.base_radius) == (M, r0)
+    assert len(bs.branches) == count
+    q = family.pole_multiplicity
     u = a[M - 1] + r0 * np.exp(2j * np.pi * (np.arange(4096) + 0.5) / 4096)
     for br in bs.branches:
         k = br.index
@@ -289,31 +323,17 @@ def test_branch_bounds_hold_on_a_dense_circle(family, count):
         assert np.max(np.abs(z - a[M - 1])) <= image < r0
 
 
-def test_base_disk_must_lie_inside_the_univalence_disk():
-    # FMax has a pole at i = f(0), so D(a_1, R) is empty
-    with pytest.raises(BasePoleError, match=r"r0 = 0\.24 must lie below \(\|a_1\| - \|f\(0\)\|\)/2 = 0,"):
-        estimate_branch_contractions(MapFamily(tag="FMax"), 1, 40, 0.24)
-
-
 def test_branch_inversion_memory_stays_small():
     # one Newton row per branch: 4000 branches peak near the size of their pole table
-    estimate_branch_contractions(FLAMBDA, None, 40, 0.24)
+    estimate_branch_contractions(FLAMBDA, 40)
     tracemalloc.start()
     try:
-        bs = estimate_branch_contractions(FLAMBDA, None, 4000, 0.24)
+        bs = estimate_branch_contractions(FLAMBDA, 4000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(bs.branches) + len(bs.rejected) == 4000 - 26
+    assert len(bs.branches) + len(bs.rejected) == 4000 - 6
     assert peak < 8e6
-
-
-def test_auto_base_index_picks_first_admissible_pole():
-    locations = np.arange(1, 31) + 0j
-    # admissibility needs |a| > (|b|/r0)**q + r0 = 2.5
-    assert auto_base_index(locations, np.ones(30), 1, 0.5) == 3
-    with pytest.raises(BasePoleError, match="enlarge"):
-        auto_base_index(np.ones(5, dtype=complex), np.ones(5), 1, 0.5)
 
 
 # ---------------------------------------------------------------------------
