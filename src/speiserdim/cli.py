@@ -40,7 +40,7 @@ from .dimension import (
 )
 from .dynamics import (
     NoAttractingFixedPointError,
-    basin_radius,
+    basin_disks,
     find_attracting_fixed_point,
     koenigs_check,
     koenigs_value,
@@ -223,14 +223,15 @@ def _run_verify(cfg: ExperimentConfig) -> tuple[str, bool]:
     g0 = koenigs_value(fam_fl, fp, complex(fp.location))
     c.add("koenigs-derivative-one", abs((g1 - g0) / 1e-5 - 1.0), 1e-4)
 
-    # the basin circle, iterated until basin_radius's bound (t = 1/2) is below tol
-    r = basin_radius(fam_fl, fp, cfg.guard_modulus)
-    z = fp.location + r * np.exp(2j * np.pi * np.arange(64) / 64)
-    q, hit = 1.0, False
-    while q * 2.25 * r / (1 - q / 2) ** 2 >= cfg.attraction_tol:
+    # the circles of basin_disks, one array: after a first step (the 0 circle lands in the eta disk) n more leave
+    # them within 4 r q / (1 - q)^2 of fp, q = |mu|^n, as t rho = (1 + t)^2 r <= 4 r for the fp disk's radius r
+    disks = basin_disks(fam_fl, fp, cfg.guard_modulus)
+    z = np.array([c + rc * np.exp(2j * np.pi * np.arange(64) / 64) for c, rc in disks], dtype=complex)
+    r, mu, n, hit = (disks[0][1] if disks else 0.0), abs(fp.multiplier), -1, False
+    while disks and (n < 1 or 4.0 * r * mu ** n / (1 - mu ** n) ** 2 >= cfg.attraction_tol):
         z, pole = eval_family_array(fam_fl, z)
-        q, hit = q * abs(fp.multiplier), hit or bool(pole.any())
-    trap = math.inf if hit else float(np.max(np.abs(z - fp.location)))
+        n, hit = n + 1, hit or bool(pole.any())
+    trap = math.inf if hit else float(np.max(np.abs(z - fp.location), initial=0.0))
     c.add("basin-disk-traps-orbits", trap, cfg.attraction_tol)
 
     return c.report()
@@ -298,14 +299,14 @@ def cmd_sweep(cfg: ExperimentConfig, out: str) -> int:
         try:
             fp = find_attracting_fixed_point(lam, cfg.m, cfg.p, cfg.eta)
             family = MapFamily(tag="FLambda", lam=lam, m=cfg.m, p=cfg.p, eta=cfg.eta)
-            # box counting reads attracted or not, so orbits stop at the certified disk
-            tol = max(grid.attraction_tol, basin_radius(family, fp, cfg.guard_modulus))
+            # box counting reads attracted or not, so orbits stop at the certified disks
             raster = render(
-                replace(grid, attraction_tol=tol),
+                grid,
                 family,
                 fp,
                 guard_modulus=cfg.guard_modulus,
                 guard_exit_limit=cfg.guard_exits,
+                disks=basin_disks(family, fp, cfg.guard_modulus),
             )
             est = box_counting(raster, scales)
             if prev is None:

@@ -210,7 +210,7 @@ def estimate_branch_contractions(family: MapFamily, N: int) -> IFSBranchSet:
 
     D(a_M, R), R = |a_M| - |f(0)|, misses the finite singular values 0 and f(0)
     (f(0) = 1 for G, i for FMax, eta otherwise), so L1 is univalent on it.  At
-    s = R/2 (basin_radius's t = 1/2) growth puts L1(D(a_M, s)) in D(w, 2R |L1'(a_M)|);
+    s = R/2 (t = 1/2) growth puts L1(D(a_M, s)) in D(w, 2R |L1'(a_M)|);
     if that disk misses 0 and f(0) too, L2 is univalent on it and S_k on D(a_M, s).
     The base is the first pole with 4|b_M| < R, and r0 = |b_M|: the leading term
     (b_M/(z - a_M))^q maps D(a_M, r0) onto {|v| > 1}, so the radius needs no
@@ -269,7 +269,8 @@ def estimate_branch_contractions(family: MapFamily, N: int) -> IFSBranchSet:
         else:
             branches.append(IFSBranch(index=k, contraction_lower=c, pole_location=pole))
     if len(branches) < 2:
-        raise DegenerateSystemError(f"only {len(branches)} branch(es) survived; rejections: {rejected[:4]!r}")
+        raise DegenerateSystemError(f"only {len(branches)} branch(es) survived; rejections: {rejected[:4]!r}; base "
+                                    f"M = {M} (the first pole with 4|b_M| < |a_M| - |f(0)|), N = {N} (branch_count)")
     return IFSBranchSet(branches=tuple(branches), base_index=M, rejected=tuple(rejected), base_radius=r0)
 
 

@@ -12,8 +12,8 @@ Undetermined; they are counted and reported, never dropped.
 
 The raster target set for dimension estimates is Julia plus Undetermined,
 i.e. everything not observed to be attracted.  The sweep, which reads only
-that set, renders with `attraction_tol` raised to `basin_radius`, a disk
-proven to trap its orbits; the only class it can change is Undetermined to
+that set, also stops orbits at `basin_disks` about fp, eta and 0, proven to
+trap their orbits; the only class they can change is Undetermined to
 attracted, where the budget ran out on an orbit that provably converges.
 
 When no attracting fixed point is supplied, rendering falls back to an
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import SpeiserdimError
-from .families import MapFamily, eval_deriv_array, eval_family, eval_family_array
+from .elliptic import SpeiserdimError, square_lattice
+from .families import MapFamily, _arcsin_scale, eval_deriv_array, eval_family, eval_family_array
 
 CODE_JULIA = -1
 CODE_UNDETERMINED = -2
@@ -161,8 +161,10 @@ def _iterate_block(
     guard_modulus: float,
     guard_exit_limit: int,
     cycle_periods: int,
+    disks: tuple[tuple[float, float], ...] = (),
 ) -> np.ndarray:
-    """Classify a flat array of starting points; returns int32 codes.
+    """Classify a flat array of starting points; returns int32 codes.  With fp,
+    an orbit is attracted once |v - fp| < tol or v enters a (centre, radius) disk.
 
     At most `_BLOCK_POINTS` orbits live at once, one per slot: after each step
     the finished orbits leave and a cursor over the unstarted points refills
@@ -191,14 +193,17 @@ def _iterate_block(
         z, idx, steps, guards, *cycle = slots
         v, pole = eval_family_array(family, z)
         steps += 1
+        mod = np.abs(v)
         if fp is not None:
             att = np.abs(v - fp.location) < tol
+            for c, r in disks:
+                att |= (mod if c == 0 else np.abs(v - c)) < r
         else:
             cycle[0] = np.concatenate((z[:, None], cycle[0][:, :-1]), axis=1)
             cycle[1] = np.where((np.abs(v[:, None] - cycle[0]) < tol).any(axis=1), cycle[1] + 1, 0)
             att = cycle[1] >= _CYCLE_STABLE_STEPS
         att &= ~pole
-        big = np.abs(v) > guard_modulus
+        big = mod > guard_modulus
         guards += big
         julia = pole | big & (guards >= guard_exit_limit)
         codes[idx[julia]] = CODE_JULIA
@@ -259,7 +264,7 @@ def _mirrors(grid: GridSpec, family: MapFamily, fp: FixedPointData | None) -> tu
     f(conj z) = conj f(z) bitwise (-conj f(z) for FMax).  So under either
     mirror the orbit of the mirrored start is tau(orbit) bitwise from step 1
     on, with tau = conj for G, H, Hm and FLambda and tau = -conj for FMax.
-    The classification reads |v - fp| (fp real), |v|, the pole mask,
+    The classification reads |v - c| (c = fp or a real disk centre), |v|, the pole mask,
     |v_k - v_j| and, in cycle mode, |v_k - z0| for the first cycle_periods
     steps.  All are invariant under tau except:
 
@@ -289,15 +294,17 @@ def render(
     guard_modulus: float = DEFAULT_GUARD_MODULUS,
     guard_exit_limit: int = DEFAULT_GUARD_EXITS,
     cycle_periods: int = 3,
+    disks: tuple[tuple[float, float], ...] = (),
 ) -> RasterResult:
     """Classify every pixel center, on the calling thread.
 
     Only the pixels that no mirror of `_mirrors` maps from another are
     iterated (a quarter of a centred grid in fixed-point mode), in one
     `_iterate_block` pass through its orbit slots, and their codes are
-    copied to their mirror images.  Then the pixels with |z0 - fp| < tol
-    get code 0; only rows with |Im z0| < tol can hold one.  `threads` is
-    accepted so that existing callers keep working; it has no effect.
+    copied to their mirror images.  With fp, orbits stop in D(fp, tol) and
+    in `disks`, real-centred (centre, radius) pairs such as `basin_disks`
+    gives, one about fp widening tol; the pixels that start in one get code
+    0.  `threads` is accepted so that existing callers keep working; it has no effect.
     """
     if fp is None and cycle_periods < 1:
         raise ValueError("cycle_periods must be at least 1")
@@ -306,16 +313,18 @@ def render(
     row, col = _mirrors(grid, family, fp)
     rows = (n + 1) // 2 if row else n
     cols = (n + 1) // 2 if col else n
-    tol = grid.attraction_tol
+    traps = dict(disks)
+    tol = max(grid.attraction_tol, traps.pop(fp.location, 0.0)) if fp is not None else grid.attraction_tol
 
     codes = np.empty((n, n), dtype=np.int32)
-    codes[:rows, :cols] = _iterate_block(xs[None, :cols] + 1j * ys[:rows, None], family, fp, grid.max_iterations,
-                                         tol, guard_modulus, guard_exit_limit, cycle_periods).reshape(rows, cols)
+    codes[:rows, :cols] = _iterate_block(xs[None, :cols] + 1j * ys[:rows, None], family, fp, grid.max_iterations, tol,
+                                         guard_modulus, guard_exit_limit, cycle_periods,
+                                         tuple(traps.items())).reshape(rows, cols)
     codes[:rows, cols:] = codes[:rows, :n - cols][:, ::-1]
     codes[rows:] = codes[:n - rows][::-1]
-    if fp is not None:
-        band = np.abs(ys) < tol
-        codes[band] = np.where(np.abs(xs[None, :] + 1j * ys[band, None] - fp.location) < tol, 0, codes[band])
+    for c, r in ((fp.location, tol), *traps.items()) if fp is not None else ():
+        band = np.abs(ys) < r
+        codes[band] = np.where(np.abs(xs[None, :] + 1j * ys[band, None] - c) < r, 0, codes[band])
     return RasterResult(grid=grid, family=family, codes=codes)
 
 
@@ -347,28 +356,42 @@ def koenigs_value(family: MapFamily, fp: FixedPointData, z: complex) -> complex:
     return val
 
 
-def basin_radius(family: MapFamily, fp: FixedPointData, guard_modulus: float) -> float:
-    """Radius r of a disk D(fp, r) whose orbits provably converge to fp, or 0.
+def basin_disks(family: MapFamily, fp: FixedPointData, guard_modulus: float) -> tuple[tuple[float, float], ...]:
+    """Disks (centre, radius) about fp, eta = f(0) and 0 whose orbits provably converge to fp.
 
-    The Koenigs function phi (koenigs_value, phi'(fp) = 1) has an inverse psi
-    that continues univalently through branches of f^-1 while psi(D(0, |mu| s))
-    holds no singular value.  Here sing(f^-1) = {0, f(0), infinity} (f(0) = eta
-    for H, Hm, FLambda) and phi(f(0)) = mu phi(0), so psi is univalent on
-    D(0, rho), rho = |phi(0)|.  Koebe's growth theorem at t = 1/2 puts D(fp, r),
-    r = t rho / (1 + t)^2, inside psi(D(0, t rho)), and each orbit from there
-    obeys |f^n(z) - fp| <= |mu|^n t rho / (1 - |mu|^n t)^2: it converges, hits
-    no pole and stays below the guard if |fp| + t rho / (1 - t)^2 < guard_modulus.
-    Returns 0, which keeps the attraction_tol rule, when that fails or when
-    koenigs_value raises (mu = 0 included).
+    For H, Hm and FLambda.  The inverse psi of the Koenigs function phi (koenigs_value,
+    phi'(fp) = 1) continues univalently through branches of f^-1 while psi(D(0, |mu| s))
+    holds no singular value; sing(f^-1) = {0, eta, infinity} and phi(eta) = mu phi(0), so
+    psi is univalent on D(0, rho), rho = |phi(0)|.  By Koebe's theorems (Duren, Univalent
+    Functions, section 2.3) orbits from psi(D(0, t rho)) obey |f^n(z) - fp| <=
+    |mu|^n t rho / (1 - |mu|^n t)^2: they converge, hit no pole and, for n >= 1, stay
+    below guard_modulus if t / (1 - t)^2 <= k = (guard_modulus - |fp|) / rho.  t is that
+    root, 2k / (2k + 1 + sqrt(4k + 1)), capped at 0.9 as a margin for the rounding of rho.
+      * fp: growth puts D(fp, t rho / (1 + t)^2) in psi(D(0, t rho)).
+      * eta = psi(zeta0), |zeta0| = |mu| rho: distortion gives |psi'(zeta0)| >= (1 - |mu|) /
+        (1 + |mu|)^3, and Koebe 1/4 on D(zeta0, (t - |mu|) rho), in D(0, t rho) for t > |mu|,
+        gives r_eta = (1 - |mu|)(t - |mu|) rho / (4 (1 + |mu|)^3).
+      * 0: D(eta, r_eta) holds one singular value (0 is outside psi(D(0, t rho)) as |phi(0)| = rho),
+        so f = eta + h^2 on the component through 0 of its preimage, h univalent onto D(0, sqrt(r_eta)).
+        As wp(w + i pi/2) = -e1 + 2 e1^2 w^2 + O(w^4), f''(0) = -8 p eta e1 s^2 (s = lam for
+        FLambda, else 1), so |h'(0)| = 2 s sqrt(p eta e1); Koebe 1/4 on h^-1 gives the
+        radius sqrt(r_eta) / (8 s sqrt(p eta e1)).
+    Returns () if koenigs_value raises (mu = 0 too) or guard_modulus <= |fp|; only fp's if t <= |mu|.
     """
-    t = 0.5
     try:
         rho = abs(koenigs_value(family, fp, 0j))
     except LinearizationDomainError:
-        return 0.0
-    if abs(fp.location) + t * rho / (1 - t) ** 2 >= guard_modulus:
-        return 0.0
-    return t * rho / (1 + t) ** 2
+        return ()
+    k, mu = (guard_modulus - abs(fp.location)) / rho, abs(fp.multiplier)
+    if not k > 0:
+        return ()
+    t = min(0.9, 2 * k / (2 * k + 1 + math.sqrt(4 * k + 1)))
+    disks = [(fp.location, t * rho / (1 + t) ** 2)]
+    if t > mu:
+        r_eta = (1 - mu) * (t - mu) * rho / (4 * (1 + mu) ** 3)
+        h1 = 2 * _arcsin_scale(family) * math.sqrt(family.p * family.eta * square_lattice().e1)  # |h'(0)|
+        disks += [(family.eta, r_eta), (0.0, math.sqrt(r_eta) / (4 * h1))]
+    return tuple(disks)
 
 
 def koenigs_check(family: MapFamily, fp: FixedPointData, z: complex) -> float:

@@ -482,6 +482,17 @@ def test_cli_dim_lower_names_the_rule_when_the_base_pole_lies_past_branch_count(
     assert not out.exists()
 
 
+def test_cli_dim_lower_names_the_base_and_branch_count_when_one_branch_survives(tmp_path, capsys):
+    # at branch_count 13 G's base is the last pole, so M..N holds one branch
+    cfg = write_config(tmp_path, "family = G\nbranch_count = 13\n")
+    out = tmp_path / "dim_lower.csv"
+    assert main(["dim-lower", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: only 1 branch(es) survived; rejections: []; base M = 13 (the first pole with "
+                   "4|b_M| < |a_M| - |f(0)|), N = 13 (branch_count)\n")
+    assert not out.exists()
+
+
 def test_cli_sweep_row_after_a_zero_dimension_fails_in_place(tmp_path, monkeypatch):
     # a target inside one box at every scale has box dimension 0, where the
     # next row's continuity envelope is undefined

@@ -29,11 +29,13 @@ from speiserdim.dynamics import (
     DEFAULT_GUARD_MODULUS,
     FixedPointData,
     _iterate_block,
-    basin_radius,
+    basin_disks,
 )
+from speiserdim.elliptic import square_lattice
 
 FAM = MapFamily(tag="FLambda", lam=1.0, m=9, p=1, eta=0.3)
 FP = find_attracting_fixed_point(1.0, 9, 1, 0.3)
+E1 = square_lattice().e1
 
 
 def centers(grid):
@@ -401,7 +403,7 @@ def test_koenigs_value_gives_up_where_the_orbit_is_too_slow():
     fp = find_attracting_fixed_point(0.8, 3, 3, 0.5)
     with pytest.raises(LinearizationDomainError, match="400 steps"):
         koenigs_value(family, fp, 0j)
-    assert basin_radius(family, fp, 30.0) == 0.0
+    assert basin_disks(family, fp, 30.0) == ()
 
 
 @pytest.mark.parametrize("factor", [1.001, 0.999])
@@ -506,53 +508,86 @@ def test_fixed_point_search_bisects_when_newton_leaves_the_bracket(monkeypatch):
     assert fp.multiplier == pytest.approx(-0.5, abs=1e-12)
 
 
+def _koebe_t(family, fp, guard):
+    """rho = |phi(0)| and basin_disks's t: the largest t <= 0.9 with |fp| + t rho / (1 - t)^2 <= guard."""
+    rho = abs(koenigs_value(family, fp, 0j))
+    k = (guard - abs(fp.location)) / rho
+    return rho, min(0.9, ((2 * k + 1) - np.sqrt(4 * k + 1)) / (2 * k))
+
+
 @pytest.mark.parametrize("p, eta, m, lams", BASIN_PARAMS,
                          ids=[f"{p}-{eta}-{m}" for p, eta, m, _ in BASIN_PARAMS])
-def test_basin_disk_traps_orbits(p, eta, m, lams):
-    # basin_radius uses t = 1/2, so rho = 4.5 r, the orbit bound is
-    # |mu|^n * 2.25 r / (1 - |mu|^n / 2)^2 and the orbits stay in D(fp, 9 r)
+def test_basin_disks_trap_orbits(p, eta, m, lams):
+    # every disk lies in psi(D(0, t rho)) or, for the 0 disk, maps into it, where
+    # orbits obey |f^n - fp| <= t rho q / (1 - t q)^2 with q = |mu|^n; one step
+    # later for the 0 disk
     rng = np.random.default_rng(8)
     circle = np.exp(2j * np.pi * np.arange(64) / 64)
     inside = np.sqrt(rng.uniform(0.0, 1.0, 64)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 64))
     for lam in lams:
         fp = find_attracting_fixed_point(lam, m, p, eta)
         family = MapFamily(tag="FLambda", lam=lam, m=m, p=p, eta=eta)
-        r = basin_radius(family, fp, 30.0)
-        assert r > 0.0
-        z = fp.location + r * np.concatenate([circle, inside])
-        q = 1.0
-        while q * 2.25 * r / (1 - q / 2) ** 2 >= 1e-6:
-            z, pole = eval_family_array(family, z)
-            assert not pole.any()
-            assert np.max(np.abs(z - fp.location)) < 9.0 * r
-            q *= abs(fp.multiplier)
-        assert np.max(np.abs(z - fp.location)) < 1e-6
+        disks = basin_disks(family, fp, 30.0)
+        rho, t = _koebe_t(family, fp, 30.0)
+        mu = abs(fp.multiplier)
+        assert [c for c, _ in disks] == ([fp.location, eta, 0.0] if t > mu else [fp.location])
+        for (c, r), lag in zip(disks, (0, 0, 1)):
+            assert r > 0.0
+            z = c + r * np.concatenate([circle, inside])
+            n = 0
+            while n <= lag or t * rho * mu ** (n - lag) / (1 - t * mu ** (n - lag)) ** 2 >= 1e-6:
+                z, pole = eval_family_array(family, z)
+                n += 1
+                assert not pole.any()
+                assert np.max(np.abs(z)) < 30.0
+            assert np.max(np.abs(z - fp.location)) < 1e-6
 
 
-def test_basin_radius_falls_back_to_zero(monkeypatch):
-    r = basin_radius(FAM, FP, 30.0)
-    assert r == 0.5 * abs(koenigs_value(FAM, FP, 0j)) / 1.5 ** 2
-    assert 0.03 < r < 0.033
-    # the orbits of D(fp, r) are only bounded by |fp| + 9 r
-    assert basin_radius(FAM, FP, abs(FP.location) + 8.9 * r) == 0.0
-    assert basin_radius(FAM, FP, abs(FP.location) + 9.1 * r) == r
-    assert basin_radius(FAM, replace(FP, multiplier=0.0), 30.0) == 0.0
+def test_basin_disk_radii_follow_the_koebe_rule(monkeypatch):
+    rho, t = _koebe_t(FAM, FP, 30.0)
+    mu = abs(FP.multiplier)
+    r_eta = (1 - mu) * (0.9 - mu) * rho / (4 * (1 + mu) ** 3)
+    assert t == 0.9
+    assert np.ravel(basin_disks(FAM, FP, 30.0)) == pytest.approx(
+        [FP.location, 0.9 * rho / 1.9 ** 2, 0.3, r_eta, 0.0, np.sqrt(r_eta) / (8 * np.sqrt(0.3 * E1))], rel=1e-12)
+    assert 0.035 < basin_disks(FAM, FP, 30.0)[0][1] < 0.036
+    # the orbits of psi(D(0, t rho)) stay below |fp| + t rho / (1 - t)^2; at 2 rho, t = 1/2
+    (_, r), = basin_disks(FAM, FP, abs(FP.location) + 2.0 * rho)[:1]
+    assert r == pytest.approx(rho / 4.5, rel=1e-12)
+    assert len(basin_disks(FAM, FP, abs(FP.location) + 90.0 * rho * (1 - 1e-9))) == 3
+    assert _koebe_t(FAM, FP, abs(FP.location) + 90.0 * rho * (1 - 1e-9))[1] < 0.9
+    assert basin_disks(FAM, FP, abs(FP.location)) == ()
+    assert basin_disks(FAM, replace(FP, multiplier=0.0), 30.0) == ()
 
     def fail(*args, **kwargs):
         raise LinearizationDomainError("no Koenigs limit")
 
     monkeypatch.setattr("speiserdim.dynamics.koenigs_value", fail)
-    assert basin_radius(FAM, FP, 30.0) == 0.0
+    assert basin_disks(FAM, FP, 30.0) == ()
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("lam", [0.75, 1.0])
+def test_second_derivative_at_the_critical_point_matches_a_finite_difference(p, lam):
+    # basin_disks sizes the 0 disk by f''(0) = -8 p eta e1 lam^2
+    family = MapFamily(tag="FLambda", lam=lam, m=9, p=p, eta=0.3)
+    h = 1e-4
+    v, _ = eval_family_array(family, [h, 0.0, -h])
+    fd = (v[0] - 2.0 * v[1] + v[2]) / h ** 2
+    assert abs(fd - (-8.0 * p * 0.3 * E1 * lam ** 2)) < 1e-6 * abs(fd)
+    fp = find_attracting_fixed_point(lam, 9, p, 0.3)
+    disks = basin_disks(family, fp, 30.0)
+    if len(disks) == 3:  # |h'(0)| = sqrt(|f''(0)| / 2) and delta0 = sqrt(r_eta) / (4 |h'(0)|)
+        assert disks[2][1] == pytest.approx(np.sqrt(disks[1][1]) / (4.0 * np.sqrt(abs(fd) / 2.0)), rel=1e-6)
 
 
 def _render_with_and_without_basin(lam, grid, guard, exits):
     fp = find_attracting_fixed_point(lam, 9, 1, 0.3)
     family = MapFamily(tag="FLambda", lam=lam, m=9, p=1, eta=0.3)
-    tol = max(grid.attraction_tol, basin_radius(family, fp, guard))
-    assert tol > grid.attraction_tol
+    disks = basin_disks(family, fp, guard)
+    assert len(disks) == 3
     plain = render(grid, family, fp, guard_modulus=guard, guard_exit_limit=exits)
-    trapped = render(replace(grid, attraction_tol=tol), family, fp,
-                     guard_modulus=guard, guard_exit_limit=exits)
+    trapped = render(grid, family, fp, guard_modulus=guard, guard_exit_limit=exits, disks=disks)
     return plain.codes, trapped.codes
 
 
@@ -563,14 +598,40 @@ def _render_with_and_without_basin(lam, grid, guard, exits):
     (1.0, GridSpec(center=0.3 + 0.2j, half_width=1.5, resolution=96, max_iterations=60), 30.0, 2),
     (0.9, GridSpec(resolution=64, max_iterations=60), 1e12, 3),
 ])
-def test_basin_radius_keeps_the_render_masks(lam, grid, guard, exits):
+def test_basin_disks_keep_the_render_masks(lam, grid, guard, exits):
     plain, trapped = _render_with_and_without_basin(lam, grid, guard, exits)
     assert np.array_equal(plain < 0, trapped < 0)
     assert np.array_equal(plain == CODE_JULIA, trapped == CODE_JULIA)
 
 
+def test_disks_about_eta_and_0_cut_the_sweep_point_steps(monkeypatch):
+    # the default sweep's lambdas at 128^2: the eta and 0 disks stop orbits
+    # before they reach the fp disk, with the same masks
+    steps = []
+    real = dynamics.eval_family_array
+
+    def counted(family, z):
+        steps[-1] += np.size(z)
+        return real(family, z)
+
+    monkeypatch.setattr(dynamics, "eval_family_array", counted)
+    grid = GridSpec(resolution=128)
+    totals = {}
+    for lam in np.linspace(0.75, 1.0, 8):
+        family = MapFamily(tag="FLambda", lam=float(lam), m=9, p=1, eta=0.3)
+        fp = find_attracting_fixed_point(float(lam), 9, 1, 0.3)
+        disks = basin_disks(family, fp, 30.0)
+        masks = []
+        for name, chosen in (("fp", disks[:1]), ("all", disks)):
+            steps.append(0)
+            masks.append(render(grid, family, fp, guard_modulus=30.0, guard_exit_limit=2, disks=chosen).codes < 0)
+            totals[name] = totals.get(name, 0) + steps[-1]
+        assert np.array_equal(masks[0], masks[1])
+    assert totals["all"] <= 0.9 * totals["fp"]
+
+
 @pytest.mark.parametrize("lam, iterations", [(0.75, 12), (1.0, 16)])
-def test_basin_radius_only_turns_undetermined_into_attracted(lam, iterations):
+def test_basin_disks_only_turn_undetermined_into_attracted(lam, iterations):
     # a small budget runs out on orbits the disk already proves convergent
     plain, trapped = _render_with_and_without_basin(
         lam, GridSpec(resolution=64, max_iterations=iterations), 30.0, 2)
