@@ -112,7 +112,7 @@ def _run_verify(cfg: ExperimentConfig) -> tuple[str, bool]:
         if abs(z) > 0.05:
             pts.append(z)
     values, derivs = _wp_batch(pts)
-    c.add("wp-against-direct-sum-oracle", max(abs(v - d) for v, d in zip(values, wp_direct_sum(pts, 1e-9))), 1e-8)
+    c.add("wp-against-direct-sum-oracle", max(abs(v - d) for v, d in zip(values, wp_direct_sum(pts, 1e-12))), 1e-8)
 
     rel = 0.0
     for z, v, d in zip(pts, values, derivs):
@@ -209,13 +209,11 @@ def _run_verify(cfg: ExperimentConfig) -> tuple[str, bool]:
     c.add("fixed-point-residual", abs(gap), 1e-12)
     c.add_flag("fixed-point-inside-(0,eta)", 0.0 < fp.location < cfg.eta)
     c.add_flag("multiplier-attracting", abs(fp.multiplier) < 1.0)
-    fp1 = find_attracting_fixed_point(1.0, cfg.m, cfg.p, cfg.eta)
+    fp1 = fp if cfg.lam == 1.0 else find_attracting_fixed_point(1.0, cfg.m, cfg.p, cfg.eta)
     c.add_flag("multiplier-negative-at-lambda-1", fp1.multiplier < 0.0)
 
-    mults = [
-        find_attracting_fixed_point(float(l), cfg.m, cfg.p, cfg.eta).multiplier
-        for l in np.linspace(0.1, 1.0, 10)
-    ]
+    mults = [find_attracting_fixed_point(float(l), cfg.m, cfg.p, cfg.eta).multiplier
+             for l in np.linspace(0.1, 1.0, 10)[:-1]] + [fp1.multiplier]  # linspace ends at 1.0 exactly
     c.add("multiplier-strictly-decreasing", float(np.max(np.diff(mults))), 0.0)
 
     c.add("koenigs-residual-near-fixed-point", koenigs_check(fam_fl, fp, fp.location + 1e-4), 1e-8)

@@ -358,7 +358,9 @@ def box_counting(target, scales: list[int] | None = None) -> DimensionEstimate:
 
     `target` is a boolean pixel mask or anything with a target_mask()
     method.  The mask is cropped to its bounding box first, which makes the
-    estimate exactly invariant under whole-pixel translations.
+    estimate exactly invariant under whole-pixel translations.  A box of side s
+    is the union of (s/t)^2 boxes of the largest earlier scale t dividing s
+    (the mask is scale 1), so each count is the mask's own.
     """
     mask = target.target_mask() if hasattr(target, "target_mask") else np.asarray(target, dtype=bool)
     if mask.ndim != 2:
@@ -371,15 +373,14 @@ def box_counting(target, scales: list[int] | None = None) -> DimensionEstimate:
     cols = np.flatnonzero(mask.any(axis=0))
     mask = mask[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
 
-    counts = []
+    boxes, counts = {1: mask}, []
     for s in scales:
-        h, w = mask.shape
-        hp = -(-h // s) * s
-        wp = -(-w // s) * s
-        padded = np.zeros((hp, wp), dtype=bool)
-        padded[:h, :w] = mask
-        blocks = padded.reshape(hp // s, s, wp // s, s).any(axis=(1, 3))
-        counts.append(int(blocks.sum()))
+        t = max(d for d in boxes if s % d == 0)
+        f, (h, w) = s // t, boxes[t].shape
+        padded = np.zeros((-(-h // f) * f, -(-w // f) * f), dtype=bool)
+        padded[:h, :w] = boxes[t]
+        boxes[s] = padded.reshape(padded.shape[0] // f, f, padded.shape[1] // f, f).any(axis=(1, 3))
+        counts.append(int(np.count_nonzero(boxes[s])))
 
     slope, stderr, _ = _linear_fit(np.log(1.0 / np.asarray(scales, dtype=float)), np.log(counts))
     slope = float(slope)

@@ -13,8 +13,9 @@ e1 is not hard-coded: it comes from g2 = 60*G4 = 4*e1^2, with G4 the
 weight-4 lattice sum (`eisenstein_g4`), whose rows collapse to closed forms;
 sqrt(15*G4) is the correctly rounded lemniscatic constant
 Gamma(1/4)^4 / (8 pi^3).  Direct lattice summation (`wp_direct_sum`, one
-term per quarter-turn orbit {w, i*w, -w, -i*w}) is the independent oracle of
-`verify` and the tests, never on the production path.  Production evaluation
+term per quarter-turn orbit {w, i*w, -w, -i*w}, less its Taylor terms through
+degree 7, so the tail falls like R^-8) is the independent oracle of `verify`
+and the tests, never on the production path.  Production evaluation
 halves the argument, reduced to the cell, and sums ten Laurent terms of
 P = wp(z/2), whose tail bound at |z/2| <= pi/(2 sqrt 2) is below 1e-13 (the
 cell corner needs 27).  The g3 = 0 duplication formula (DLMF 23.10) doubles
@@ -67,19 +68,32 @@ def eisenstein_g4() -> float:
     return total / PI ** 4
 
 
+@lru_cache(maxsize=1)
+def _eisenstein_g8() -> float:
+    """Weight-8 lattice sum G8 = 3 G4^2 / 7 (as g3 = 0) from closed-form rows, as in
+    `eisenstein_g4`: sum_j (j + i*n)^-8 = pi^8 (1 + 4/3 sh^2 + 2/5 sh^4 + 4/315 sh^6) / sh^8,
+    sh = sinh(pi n), and 2 zeta(8) = 2 pi^8 / 9450.  Only the direct sum needs it."""
+    total = 2.0 / 9450.0
+    for n in range(1, 12):
+        sh = math.sinh(PI * n)
+        s2 = sh * sh
+        total += 2.0 * (1.0 + s2 * (4.0 / 3.0 + s2 * (0.4 + s2 * (4.0 / 315.0)))) / (s2 * s2 * s2 * s2)
+    return total
+
+
 def direct_sum_radius(z_modulus: float, tol: float) -> float:
     """Smallest summation radius whose certified tail bound is below tol.
 
-    The direct sum subtracts the degree <= 3 Taylor terms of every summand
+    The direct sum subtracts the degree <= 7 Taylor terms of every summand
     (they cancel exactly over a disk-symmetric truncation, except for the
-    z^2 term which is restored via G4), so each remaining summand is bounded
-    by C(y0) |z|^4 / |w|^6 with y0 = |z|/R and
-    C(y0) = 5/(1-y0) + y0/(1-y0)^2.  Cell-to-integral comparison then bounds
-    the lattice tail of |w|^-6 by (2/pi) * (1/(4 S^4) + (pi/sqrt 2)/(5 S^5))
+    z^2 and z^6 terms, restored via G4 and G8), so each remaining summand is
+    bounded by C(y0) |z|^8 / |w|^10 with y0 = |z|/R and
+    C(y0) = 9/(1-y0) + y0/(1-y0)^2.  Cell-to-integral comparison then bounds
+    the lattice tail of |w|^-10 by (2/pi) * (1/(8 S^8) + (pi/sqrt 2)/(9 S^9))
     with S = R - pi/sqrt(2).  The bound falls as R grows: R is the floor
     max(12, 4|z|) if it passes, else the passing end of a bracket narrowed to
-    1e-9 R.  Past the floor C(y0) is in [5, 7.12] and S >= 9.78, so the S at
-    which 5v/S^4 and 8.41v/S^4 (v = |z|^4 / (2 pi)) reach tol bracket R.  The
+    1e-9 R.  Past the floor C(y0) is in [9, 12.45] and S >= 9.78, so the S at
+    which 9v/S^8 and 14.96v/S^8 (v = |z|^8 / (4 pi)) reach tol bracket R.  The
     bound is nearly a line in (log S, log bound): secant steps there, kept
     4e-10 R inside the bracket, need at most 8 bound evaluations in all.
     """
@@ -88,16 +102,16 @@ def direct_sum_radius(z_modulus: float, tol: float) -> float:
 
     def bound(R: float) -> float:
         y0, S = z_modulus / R, R - _CELL_RADIUS
-        lattice_tail = (2.0 / PI) * (1.0 / (4.0 * S ** 4) + _CELL_RADIUS / (5.0 * S ** 5))
-        return (5.0 / (1.0 - y0) + y0 / (1.0 - y0) ** 2) * z_modulus ** 4 * lattice_tail
+        lattice_tail = (2.0 / PI) * (1.0 / (8.0 * S ** 8) + _CELL_RADIUS / (9.0 * S ** 9))
+        return (9.0 / (1.0 - y0) + y0 / (1.0 - y0) ** 2) * z_modulus ** 8 * lattice_tail
 
     lo = max(12.0, 4.0 * z_modulus)
     if (b_lo := bound(lo)) < tol:
         return lo
-    v = z_modulus ** 4 / (2.0 * PI * tol)
-    if (r := _CELL_RADIUS + (5.0 * v) ** 0.25) > lo:
+    v = z_modulus ** 8 / (4.0 * PI * tol)
+    if (r := _CELL_RADIUS + (9.0 * v) ** 0.125) > lo:
         lo, b_lo = r, bound(r)
-    hi = _CELL_RADIUS + (8.41 * v) ** 0.25
+    hi = _CELL_RADIUS + (14.96 * v) ** 0.125
     b_hi = bound(hi)
     while hi - lo > 1e-9 * hi:
         t_lo, t_hi = math.log(lo - _CELL_RADIUS), math.log(hi - _CELL_RADIUS)
@@ -115,21 +129,24 @@ def wp_direct_sum(z, tol: float = 1e-9) -> complex | list[complex]:
     """Evaluate wp by direct truncated lattice summation with tail bound < tol.
 
     The lattice points with 0 < |w| <= R enter
-        1/z^2 + sum' [ 1/(z-w)^2 - 1/w^2 - 2z/w^3 - 3z^2/w^4 - 4z^3/w^5 ] + 3*G4*z^2,
-    where the subtracted terms sum to zero (odd powers) or to the restored
-    3*G4*z^2 (even power) because the disk is symmetric under w -> i*w.  As
-    i*L = L, the four summands of each orbit {w, i*w, -w, -i*w} add up to
-        4 z^6 (7 w^4 - 3 z^4) / (w^4 (w^4 - z^4)^2),
+        1/z^2 + sum' [ 1/(z-w)^2 - sum_{n=0..7} (n+1) z^n / w^(n+2) ] + 3*G4*z^2 + 7*G8*z^6:
+    over all of L the subtracted terms sum to the restored ones, as G_k = 0
+    for odd k and, since i*L = L, for k = 6 (DLMF 23.9), so only the tail of
+    the bracket is cut, and it falls like R^-8.  The four summands of each
+    orbit {w, i*w, -w, -i*w} add up to
+        4 z^10 (11 w^4 - 7 z^4) / (w^8 (w^4 - z^4)^2),
     so one representative w = pi*(j + i*k), j >= 1, k >= 0, stands for its
-    orbit.  The disk is invariant under the quarter turn, so the same points
-    enter as in the plain sum and the tail bound of `direct_sum_radius` holds
-    unchanged.  The quadrant is summed in blocks of _DIRECT_SUM_ROWS rows, one
-    alive at a time, so memory stays bounded however small tol is.  A sequence
-    of points is a batch and gives a list (a scalar is a batch of one): each
-    block and its moduli are built once, to the largest R, and each point sums
-    the part within its own R as alone, so with the same bits.  Independent
-    of the Laurent path, whose oracle it is; infinite within POLE_CUTOFF of
-    any lattice point, the rule `wp` uses.
+    orbit; the disk is invariant under the quarter turn, so the same points
+    enter as in the plain sum.  Off the cell the restored 7*G8*z^6 cancels
+    against the sum, so rounding grows like |z|^6 (1e-13 at |z| = 7.5).  The
+    quadrant is summed in blocks of _DIRECT_SUM_ROWS rows, one alive at a
+    time, so memory stays bounded however small tol is.  A sequence of points
+    is a batch and gives a list (a scalar is a batch of one): each block is
+    built once, to the largest R, and each point sums the part within its own
+    R as alone, so with the same bits.  Products and quotients are ufunc calls
+    into fresh arrays, operands in a fixed order, so no bit hangs on numpy's
+    in-place reuse of large temporaries.  Independent of the Laurent path, whose
+    oracle it is; infinite within POLE_CUTOFF of any lattice point, as in `wp`.
     """
     zs = [complex(v) for v in np.ravel(z)]
     radii = [direct_sum_radius(abs(v), 0.5 * tol) for v in zs]
@@ -139,21 +156,15 @@ def wp_direct_sum(z, tol: float = 1e-9) -> complex | list[complex]:
     k = np.arange(max(rows, default=0))
     for start in range(0, k.size, _DIRECT_SUM_ROWS):
         w = PI * (k[None, 1:] + 1j * k[start:start + _DIRECT_SUM_ROWS, None])
-        modulus = np.abs(w)
         for i, (R, n, z4) in enumerate(zip(radii, rows, z4s)):
             if start < n:  # the point's own block: rows start.., columns 1..n-1
-                block = np.s_[:n - start, :n - 1]
-                w4 = (w[block][modulus[block] <= R] ** 2) ** 2
-                # two term arrays alive, not three: * (7 + 0j), - and / round alike in place; den
-                # stays an expression, as numpy's in-place reuse of big temporaries sets its rounding
-                den = w4 * (w4 - z4) ** 2
-                w4 *= 7.0
-                w4 -= 3.0 * z4
-                w4 /= den
-                sums[i] += complex(np.sum(w4))
-                del w4, den
-    out = [1.0 / (v * v) + 4.0 * z4 * v * v * s + 3.0 * eisenstein_g4() * v * v if n else _INF
-           for v, n, z4, s in zip(zs, rows, z4s, sums)]
+                block = w[:n - start, :n - 1]
+                w4 = np.square(np.square(block[np.abs(block) <= R]))
+                den = np.multiply(np.square(w4), np.square(np.subtract(w4, z4)))
+                sums[i] += complex(np.sum(np.divide(np.subtract(np.multiply(11.0, w4), 7.0 * z4), den)))
+                del w4, den  # before the next point's arrays
+    out = [1.0 / (v * v) + 4.0 * z4 * z4 * v * v * s + 3.0 * eisenstein_g4() * v * v
+           + 7.0 * _eisenstein_g8() * z4 * v * v if n else _INF for v, n, z4, s in zip(zs, rows, z4s, sums)]
     return out if np.ndim(z) else out[0]
 
 

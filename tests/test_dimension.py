@@ -447,6 +447,30 @@ def test_box_dimension_of_sierpinski_carpet():
     assert est.metadata["counts"][0] == 8 ** 6
 
 
+def _counts_per_scale(mask, scales):
+    """Occupied s-boxes of the cropped mask, each scale from the mask itself."""
+    rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+    mask = mask[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+    counts = []
+    for s in scales:
+        h, w = -(-mask.shape[0] // s) * s, -(-mask.shape[1] // s) * s
+        padded = np.zeros((h, w), dtype=bool)
+        padded[:mask.shape[0], :mask.shape[1]] = mask
+        counts.append(int(padded.reshape(h // s, s, w // s, s).any(axis=(1, 3)).sum()))
+    return counts
+
+
+@pytest.mark.parametrize("scales", [None, [3, 4, 6, 9], [2, 5, 7, 10, 14, 35], [1, 3, 6, 12, 24]])
+def test_box_counts_from_coarser_scales_equal_counts_from_the_mask(scales):
+    # each scale is counted from the largest earlier scale dividing it; the
+    # counts must be those of the mask itself, nested scales or not
+    rng = np.random.default_rng(28)
+    mask = np.zeros((512, 512), dtype=bool)
+    mask[37:470, 11:493] = rng.random((433, 482)) < 0.02
+    expected = _counts_per_scale(mask, default_box_scales(512) if scales is None else scales)
+    assert box_counting(mask, scales).metadata["counts"] == expected
+
+
 def test_box_counting_translation_invariant():
     rng = np.random.default_rng(3)
     blob = rng.random((64, 64)) < 0.2

@@ -24,7 +24,7 @@ from speiserdim import (
     wp_prime,
 )
 from speiserdim import elliptic
-from speiserdim.elliptic import POLE_CUTOFF, _wp_array, direct_sum_radius
+from speiserdim.elliptic import POLE_CUTOFF, _eisenstein_g8, _wp_array, direct_sum_radius
 
 
 def brute_weight4_sum(k):
@@ -57,6 +57,12 @@ def test_weight4_sum_against_brute_double_sum():
     assert eisenstein_g4() == pytest.approx(extrapolated, abs=1e-10)
 
 
+def test_weight8_sum_from_its_rows_is_three_sevenths_of_g4_squared():
+    # g3 = 0 makes the Laurent recursion give G8 = 3 G4^2 / 7 (DLMF 23.9)
+    g4 = eisenstein_g4()
+    assert abs(_eisenstein_g8() - 3.0 * g4 * g4 / 7.0) <= 4 * math.ulp(_eisenstein_g8())
+
+
 def test_half_period_values():
     lat = square_lattice()
     assert wp(PI / 2).imag == pytest.approx(0.0, abs=1e-12)
@@ -84,7 +90,7 @@ def test_e1_is_the_correctly_rounded_lemniscatic_constant():
 
 
 def test_lattice_init_does_not_sum_the_lattice():
-    # the direct sum is an oracle only: start-up must not pay for it
+    # the direct sum is an oracle only: start-up must not pay for it, nor for its G8
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     probe = (
@@ -93,11 +99,12 @@ def test_lattice_init_does_not_sum_the_lattice():
         "    raise RuntimeError('direct lattice sum called')\n"
         "e.wp_direct_sum = boom\n"
         "print(repr(e.square_lattice().e1))\n"
+        "print(e._eisenstein_g8.cache_info().misses)\n"
     )
     run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, timeout=60)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "0.6966019648428384"
+    assert run.stdout.split() == ["0.6966019648428384", "0"]
 
 
 def test_matches_direct_lattice_sum():
@@ -141,9 +148,10 @@ def test_folded_direct_sum_matches_the_unfolded_sum(monkeypatch, z):
     j, k = _lattice_within(R)
     w = PI * (j + 1j * k)
     w = w[w != 0]
-    terms = 1.0 / (z - w) ** 2 - 1.0 / w ** 2 - 2 * z / w ** 3 - 3 * z * z / w ** 4 - 4 * z ** 3 / w ** 5
-    plain = 1.0 / (z * z) + terms.sum() + 3.0 * eisenstein_g4() * z * z
-    scale = abs(1.0 / (z * z)) + np.abs(terms).sum() + abs(3.0 * eisenstein_g4() * z * z)
+    terms = 1.0 / (z - w) ** 2 - sum((n + 1) * z ** n / w ** (n + 2) for n in range(8))
+    restored = 3.0 * eisenstein_g4() * z * z + 7.0 * _eisenstein_g8() * z ** 6
+    plain = 1.0 / (z * z) + terms.sum() + restored
+    scale = abs(1.0 / (z * z)) + np.abs(terms).sum() + abs(restored)
     assert abs(wp_direct_sum(z) - plain) <= 4 * w.size * np.finfo(float).eps * scale
 
 
@@ -167,12 +175,29 @@ def _direct_sum_point_by_point(z, tol):
     s = 0j
     for start in range(0, k.size, 64):
         w = (PI * (k[None, 1:] + 1j * k[start:start + 64, None])).ravel()
+        w4 = np.square(np.square(w[np.abs(w) <= R]))
+        den = np.multiply(np.square(w4), np.square(np.subtract(w4, z4)))
+        s += complex(np.sum(np.divide(np.subtract(np.multiply(11.0, w4), 7.0 * z4), den)))
+    return (1.0 / (z * z) + 4.0 * z4 * z4 * z * z * s + 3.0 * eisenstein_g4() * z * z
+            + 7.0 * _eisenstein_g8() * z4 * z * z)
+
+
+def _degree3_direct_sum(z, tol):
+    """The earlier oracle: Taylor terms subtracted through degree 3 only, so the
+    tail falls like R^-4; R is the passing end of its closed-form bracket."""
+    v = abs(z) ** 4 / (2.0 * PI * 0.5 * tol)
+    R = max(12.0, 4.0 * abs(z), PI / math.sqrt(2.0) + (8.41 * v) ** 0.25)
+    k = np.arange(int(R / PI) + 2)
+    z4 = (z * z) ** 2
+    s = 0j
+    for start in range(0, k.size, 64):
+        w = (PI * (k[None, 1:] + 1j * k[start:start + 64, None])).ravel()
         w4 = (w[np.abs(w) <= R] ** 2) ** 2
         s += complex(np.sum((7.0 * w4 - 3.0 * z4) / (w4 * (w4 - z4) ** 2)))
     return 1.0 / (z * z) + 4.0 * z4 * z * z * s + 3.0 * eisenstein_g4() * z * z
 
 
-# radii from the floor 12 up to about 1500 at tol 1e-9, four lattice points and one next to a fifth
+# radii from the floor 12 up to about 110 at tol 1e-9, four lattice points and one next to a fifth
 _MIXED_BATCH = [0.01 + 0.02j, 0.3 + 0.2j, -1.1 + 0.7j, PI / 2, 0.9 - 1.5j, 1.5 + 1.5j, 3 + 4j,
                 -7.5 + 0.4j, 0j, PI, 1j * PI, -3 * PI + 2j * PI, PI + 2 * POLE_CUTOFF]
 
@@ -193,31 +218,47 @@ def test_direct_sum_batch_equals_single_calls():
     assert wp_direct_sum(np.asarray(_MIXED_BATCH[:3]), 1e-9) == batch[:3]
 
 
-def test_direct_sum_batch_needs_no_more_memory_than_its_largest_point():
-    def peak(call):
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-    largest = max(_MIXED_BATCH[:8], key=lambda z: direct_sum_radius(abs(z), 0.5e-9))
-    wp_direct_sum(_MIXED_BATCH, 1e-9)  # caches filled before measuring
-    assert peak(lambda: wp_direct_sum(_MIXED_BATCH, 1e-9)) <= peak(
-        lambda: _direct_sum_point_by_point(complex(largest), 1e-9))
+
+def test_direct_sum_batch_needs_no_more_memory_than_its_largest_point():
+    # at tol 1e-15 the largest point's arrays (R = 593) outweigh the batch's
+    # per-point bookkeeping, about 150 bytes a point
+    largest = max(_MIXED_BATCH[:8], key=lambda z: direct_sum_radius(abs(z), 0.5e-15))
+    wp_direct_sum(_MIXED_BATCH, 1e-15)  # caches filled before measuring
+    assert _peak_bytes(lambda: wp_direct_sum(_MIXED_BATCH, 1e-15)) <= _peak_bytes(
+        lambda: _direct_sum_point_by_point(complex(largest), 1e-15))
 
 
 def test_direct_sum_memory_stays_bounded():
-    # the quadrant is summed in blocks of rows, so the tightest oracle call
-    # (about 1.3M lattice points) never holds the whole disk at once
-    tracemalloc.start()
-    try:
-        wp_direct_sum(PI / 2, 1e-12)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5e6
+    # the quadrant is summed in blocks of rows, so a call at R = 1,646 (about
+    # 215,000 orbit representatives in 9 blocks) never holds the whole disk at once
+    assert 1600 < direct_sum_radius(PI / 2, 0.5e-24) < 1700
+    assert _peak_bytes(lambda: wp_direct_sum(PI / 2, 1e-24)) < 5e6
+
+
+def test_tightest_oracle_call_sums_a_small_disk():
+    # with the degree <= 7 terms subtracted the tail falls like R^-8: the e1
+    # check's call sums to R = 55, where the degree-3 form needed R = 1,767
+    assert direct_sum_radius(PI / 2, 0.5e-12) < 60
+    wp_direct_sum(PI / 2, 1e-12)  # caches filled before measuring
+    assert _peak_bytes(lambda: wp_direct_sum(PI / 2, 1e-12)) < 100e3
+
+
+def test_direct_sum_agrees_with_the_degree3_sum():
+    # at tol 1e-13 both forms are at rounding level; off the cell the restored
+    # 7 G8 z^6 cancels against the orbit sum, so the new form's rounding grows
+    # like |z|^6 (1.1e-13 at -7.5 + 0.4j, where 7 G8 |z|^6 is 566)
+    zs = random_cell_points(20, seed=28) + _MIXED_BATCH[:8] + _MIXED_BATCH[12:]  # the finite points
+    for z, new in zip(zs, wp_direct_sum(zs, 1e-13)):
+        old = _degree3_direct_sum(z, 1e-13)
+        assert abs(new - old) <= 2e-14 * max(1.0, abs(old), 7.0 * _eisenstein_g8() * abs(z) ** 6), z
 
 
 def test_differential_equation():
@@ -361,8 +402,8 @@ def test_direct_sum_radius_is_minimal():
     def bound(z_modulus, R):
         y0 = z_modulus / R
         S = R - math.pi / math.sqrt(2.0)
-        tail = (2.0 / math.pi) * (1.0 / (4.0 * S ** 4) + (math.pi / math.sqrt(2.0)) / (5.0 * S ** 5))
-        return (5.0 / (1.0 - y0) + y0 / (1.0 - y0) ** 2) * z_modulus ** 4 * tail
+        tail = (2.0 / math.pi) * (1.0 / (8.0 * S ** 8) + (math.pi / math.sqrt(2.0)) / (9.0 * S ** 9))
+        return (9.0 / (1.0 - y0) + y0 / (1.0 - y0) ** 2) * z_modulus ** 8 * tail
 
     on_floor = 0
     for z_modulus in np.linspace(0.0, 40.0, 81):
