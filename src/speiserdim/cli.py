@@ -40,6 +40,7 @@ from .dimension import (
 )
 from .dynamics import (
     NoAttractingFixedPointError,
+    _basin_majorant,
     basin_disks,
     find_attracting_fixed_point,
     koenigs_check,
@@ -112,7 +113,8 @@ def _run_verify(cfg: ExperimentConfig) -> tuple[str, bool]:
         if abs(z) > 0.05:
             pts.append(z)
     values, derivs = _wp_batch(pts)
-    c.add("wp-against-direct-sum-oracle", max(abs(v - d) for v, d in zip(values, wp_direct_sum(pts, 1e-12))), 1e-8)
+    c.add("wp-against-direct-sum-oracle",
+          max(abs(v - d) / max(1.0, abs(d)) for v, d in zip(values, wp_direct_sum(pts, 1e-12))), 1e-12)
 
     rel = 0.0
     for z, v, d in zip(pts, values, derivs):
@@ -221,15 +223,13 @@ def _run_verify(cfg: ExperimentConfig) -> tuple[str, bool]:
     g0 = koenigs_value(fam_fl, fp, complex(fp.location))
     c.add("koenigs-derivative-one", abs((g1 - g0) / 1e-5 - 1.0), 1e-4)
 
-    # the circles of basin_disks, one array: after a first step (the 0 circle lands in the eta disk) n more leave
-    # them within 4 r q / (1 - q)^2 of fp, q = |mu|^n, as t rho = (1 + t)^2 r <= 4 r for the fp disk's radius r
-    disks = basin_disks(fam_fl, fp, cfg.guard_modulus)
-    z = np.array([c + rc * np.exp(2j * np.pi * np.arange(64) / 64) for c, rc in disks], dtype=complex)
-    r, mu, n, hit = (disks[0][1] if disks else 0.0), abs(fp.multiplier), -1, False
-    while disks and (n < 1 or 4.0 * r * mu ** n / (1 - mu ** n) ** 2 >= cfg.attraction_tol):
-        z, pole = eval_family_array(fam_fl, z)
-        n, hit = n + 1, hit or bool(pole.any())
-    trap = math.inf if hit else float(np.max(np.abs(z - fp.location), initial=0.0))
+    # the circle of the basin disk: n steps leave it within S^n(r) of fp, S the majorant of basin_disks
+    r, majorant = _basin_majorant(fam_fl, fp, cfg.guard_modulus) or (0.0, None)
+    z, s, hit = fp.location + r * np.exp(2j * np.pi * np.arange(64) / 64), r, False
+    while s >= cfg.attraction_tol and (s_next := majorant(s)) < s:
+        (z, pole), s = eval_family_array(fam_fl, z), s_next
+        hit = hit or bool(pole.any())
+    trap = math.inf if hit or s >= cfg.attraction_tol else float(np.max(np.abs(z - fp.location)))
     c.add("basin-disk-traps-orbits", trap, cfg.attraction_tol)
 
     return c.report()

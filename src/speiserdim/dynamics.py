@@ -12,8 +12,8 @@ Undetermined; they are counted and reported, never dropped.
 
 The raster target set for dimension estimates is Julia plus Undetermined,
 i.e. everything not observed to be attracted.  The sweep, which reads only
-that set, also stops orbits at `basin_disks` about fp, eta and 0, proven to
-trap their orbits; the only class they can change is Undetermined to
+that set, also stops orbits in the disk about fp of `basin_disks`, which f
+provably maps into itself; the only class it can change is Undetermined to
 attracted, where the budget ran out on an orbit that provably converges.
 
 When no attracting fixed point is supplied, rendering falls back to an
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import SpeiserdimError, square_lattice
+from .elliptic import PI, SpeiserdimError, square_lattice
 from .families import MapFamily, _arcsin_scale, eval_deriv_array, eval_family, eval_family_array
 
 CODE_JULIA = -1
@@ -44,6 +44,7 @@ DEFAULT_GUARD_MODULUS = 1e12
 DEFAULT_GUARD_EXITS = 3
 
 _CYCLE_STABLE_STEPS = 5
+_EVAL_ERROR = 1e-12  # the error of eval_family_array that basin_disks assumes
 
 
 class NoAttractingFixedPointError(SpeiserdimError, RuntimeError):
@@ -197,7 +198,7 @@ def _iterate_block(
         if fp is not None:
             att = np.abs(v - fp.location) < tol
             for c, r in disks:
-                att |= (mod if c == 0 else np.abs(v - c)) < r
+                att |= np.abs(v - c) < r
         else:
             cycle[0] = np.concatenate((z[:, None], cycle[0][:, :-1]), axis=1)
             cycle[1] = np.where((np.abs(v[:, None] - cycle[0]) < tol).any(axis=1), cycle[1] + 1, 0)
@@ -302,8 +303,8 @@ def render(
     iterated (a quarter of a centred grid in fixed-point mode), in one
     `_iterate_block` pass through its orbit slots, and their codes are
     copied to their mirror images.  With fp, orbits stop in D(fp, tol) and
-    in `disks`, real-centred (centre, radius) pairs such as `basin_disks`
-    gives, one about fp widening tol; the pixels that start in one get code
+    in `disks`, real-centred (centre, radius) pairs; one about fp, as
+    `basin_disks` gives, widens tol.  The pixels that start in one get code
     0.  `threads` is accepted so that existing callers keep working; it has no effect.
     """
     if fp is None and cycle_periods < 1:
@@ -324,7 +325,7 @@ def render(
     codes[rows:] = codes[:n - rows][::-1]
     for c, r in ((fp.location, tol), *traps.items()) if fp is not None else ():
         band = np.abs(ys) < r
-        codes[band] = np.where(np.abs(xs[None, :] + 1j * ys[band, None] - c) < r, 0, codes[band])
+        codes[band] = np.where(np.hypot(xs[None, :] - c, ys[band, None]) < r, 0, codes[band])
     return RasterResult(grid=grid, family=family, codes=codes)
 
 
@@ -356,42 +357,51 @@ def koenigs_value(family: MapFamily, fp: FixedPointData, z: complex) -> complex:
     return val
 
 
-def basin_disks(family: MapFamily, fp: FixedPointData, guard_modulus: float) -> tuple[tuple[float, float], ...]:
-    """Disks (centre, radius) about fp, eta = f(0) and 0 whose orbits provably converge to fp.
+def _basin_majorant(family: MapFamily, fp: FixedPointData, guard_modulus: float):
+    """(r, S) of basin_disks, S the majorant as a function of rho = |z - fp|, or None."""
+    n, k, zeta, eps, r1 = 128, np.arange(64), abs(fp.location), np.finfo(float).eps, np.array([0.2, 0.4, 0.6, 0.8])
+    reach = zeta + 4.0 * r1 / 3.0  # |fp| + R2
+    a = reach if family.tag == "H" else family.m * np.arcsin(np.minimum(_arcsin_scale(family) * reach / family.m, 1.0))
+    r1, delta = r1[a < PI / 2], PI / 2 - a[a < PI / 2]
+    m2 = family.eta * ((delta ** -2.0 + 4.6 * 26.0 / (9.0 * PI ** 2)) / square_lattice().e1) ** (2 * family.p) + zeta
+    w = np.exp(2j * PI / n * (np.outer(np.arange(n), k) % n))  # w[j, k] = e^(2 pi i j k / N); w[:, 1] the circle
+    v, _ = eval_family_array(family, fp.location + r1[:, None] * w[:, 1])
+    pad = (_EVAL_ERROR + n * eps) * (np.max(np.abs(v), axis=1) + zeta) + 48.0 * eps * m2 * (zeta + r1) / r1
+    c = np.einsum("jk,kl->jl", v - fp.location, np.conj(w)) / n  # the DFT; einsum, as @ would touch BLAS buffers
+    # S(R1 x) = sum_k b_k x^k + tail, b_k = |c_k| + pad + the aliases' M2 q^k q^N / (1 - q^N), q = 3/4
+    b = np.abs(c) + pad[:, None] + m2[:, None] * 0.75 ** (k + n) / (1 - 0.75 ** n)
+    series = lambda x: np.einsum("ik,gk->ig", b, x[:, None] ** k) + m2[:, None] * (0.75 * x) ** 64 / (1 - 0.75 * x)
+    x, theta = 2.0 ** (-np.arange(400) / 32.0), 0.5 + 0.5 * min(abs(fp.multiplier), 1.0 - 1e-12)
+    fits = np.flatnonzero((series(x) <= theta * (rho := r1[:, None] * x)) & (zeta + rho < guard_modulus))
+    if fits.size:
+        i, g = divmod(fits[np.argmax(rho.flat[fits])], x.size)
+        return float(rho[i, g]), lambda s: float(series(np.array([s / r1[i]]))[i, 0])
 
-    For H, Hm and FLambda.  The inverse psi of the Koenigs function phi (koenigs_value,
-    phi'(fp) = 1) continues univalently through branches of f^-1 while psi(D(0, |mu| s))
-    holds no singular value; sing(f^-1) = {0, eta, infinity} and phi(eta) = mu phi(0), so
-    psi is univalent on D(0, rho), rho = |phi(0)|.  By Koebe's theorems (Duren, Univalent
-    Functions, section 2.3) orbits from psi(D(0, t rho)) obey |f^n(z) - fp| <=
-    |mu|^n t rho / (1 - |mu|^n t)^2: they converge, hit no pole and, for n >= 1, stay
-    below guard_modulus if t / (1 - t)^2 <= k = (guard_modulus - |fp|) / rho.  t is that
-    root, 2k / (2k + 1 + sqrt(4k + 1)), capped at 0.9 as a margin for the rounding of rho.
-      * fp: growth puts D(fp, t rho / (1 + t)^2) in psi(D(0, t rho)).
-      * eta = psi(zeta0), |zeta0| = |mu| rho: distortion gives |psi'(zeta0)| >= (1 - |mu|) /
-        (1 + |mu|)^3, and Koebe 1/4 on D(zeta0, (t - |mu|) rho), in D(0, t rho) for t > |mu|,
-        gives r_eta = (1 - |mu|)(t - |mu|) rho / (4 (1 + |mu|)^3).
-      * 0: D(eta, r_eta) holds one singular value (0 is outside psi(D(0, t rho)) as |phi(0)| = rho),
-        so f = eta + h^2 on the component through 0 of its preimage, h univalent onto D(0, sqrt(r_eta)).
-        As wp(w + i pi/2) = -e1 + 2 e1^2 w^2 + O(w^4), f''(0) = -8 p eta e1 s^2 (s = lam for
-        FLambda, else 1), so |h'(0)| = 2 s sqrt(p eta e1); Koebe 1/4 on h^-1 gives the
-        radius sqrt(r_eta) / (8 s sqrt(p eta e1)).
-    Returns () if koenigs_value raises (mu = 0 too) or guard_modulus <= |fp|; only fp's if t <= |mu|.
+
+def basin_disks(family: MapFamily, fp: FixedPointData, guard_modulus: float) -> tuple[tuple[float, float], ...]:
+    """One disk ((fp, r),) that f maps into itself, or () if none is certified.  For H, Hm and FLambda.
+
+    Let S(rho) >= |f(z) - fp| on |z - fp| = rho < R2 have nonnegative coefficients, theta = (1 + |mu|)/2.
+    If S(r) <= theta r, f maps the closed D(fp, r) into D(fp, theta r): orbits from it converge to the
+    fixed point there (Schwarz lemma, Earle-Hamilton; Milnor, Dynamics in One Complex Variable, section 8),
+    within S^n(r) after n steps as S increases, hit no pole and stay below |fp| + r < guard_modulus.
+    S comes from N = 128 samples of f = eta (wp(W) / e1)^(2p) on |z - fp| = R1 in {0.2, 0.4, 0.6, 0.8}:
+      * W = m arcsin(s z / m) + i pi/2 (s = lam for FLambda, else 1; z + i pi/2 for H) lies within A =
+        m arcsin(s (|fp| + R2) / m) (|fp| + R2 for H) of i pi/2 on D(fp, R2), R2 = 4 R1 / 3, as arcsin's
+        Taylor coefficients are nonnegative; R1 is kept if delta = pi/2 - A, its distance to the lattice, > 0.
+      * wp(W) = wp(u), delta <= |u| <= pi/sqrt 2: elliptic._laurent_order_for's |d_j| <= 4.6 (4j + 3)
+        pi^(-4j-4) gives |wp| <= 1/delta^2 + T, T = sum_j 4.6 (4j + 3) pi^(-4j-4) (pi/sqrt 2)^(4j+2) =
+        4.6 * 26 / (9 pi^2), so |f - fp| <= M2 = eta ((1/delta^2 + T) / e1)^(2p) + |fp| on D(fp, R2).
+      * Cauchy's |a_k| <= M2 / R2^k, f - fp = sum a_k (z - fp)^k, puts a_k, k < K = N/2, within
+        M2 R2^-k q^N / (1 - q^N) of the DFT c_k = sum_(l = k mod N) a_l R1^l, q = R1 / R2; the terms
+        from K on are at most M2 (rho/R2)^K / (1 - rho/R2).
+      * A sample is assumed within _EVAL_ERROR = 1e-12 of f at its rounded point, relative to the largest
+        sample plus |fp| (4.7e-15 measured against 30 digits); N eps covers the DFT.  The points are within
+        16 eps (|fp| + R1) of the circle, where |f'| <= 3 M2 / R1: 48 eps M2 (|fp| + R1) / R1 more per
+        |c_k|.  S rounds by about K eps relative, which 1 - theta covers, as |mu| is capped at 1 - 1e-12.
+    r is the largest rho = R1 2^(-g/32), g < 400, with S(rho) <= theta rho and |fp| + rho < guard_modulus.
     """
-    try:
-        rho = abs(koenigs_value(family, fp, 0j))
-    except LinearizationDomainError:
-        return ()
-    k, mu = (guard_modulus - abs(fp.location)) / rho, abs(fp.multiplier)
-    if not k > 0:
-        return ()
-    t = min(0.9, 2 * k / (2 * k + 1 + math.sqrt(4 * k + 1)))
-    disks = [(fp.location, t * rho / (1 + t) ** 2)]
-    if t > mu:
-        r_eta = (1 - mu) * (t - mu) * rho / (4 * (1 + mu) ** 3)
-        h1 = 2 * _arcsin_scale(family) * math.sqrt(family.p * family.eta * square_lattice().e1)  # |h'(0)|
-        disks += [(family.eta, r_eta), (0.0, math.sqrt(r_eta) / (4 * h1))]
-    return tuple(disks)
+    return ((fp.location, found[0]),) if (found := _basin_majorant(family, fp, guard_modulus)) else ()
 
 
 def koenigs_check(family: MapFamily, fp: FixedPointData, z: complex) -> float:

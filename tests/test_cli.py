@@ -26,7 +26,7 @@ from speiserdim import cli
 from speiserdim.cli import main
 from speiserdim.config import validate_config
 from speiserdim.dimension import box_counting
-from speiserdim.dynamics import LinearizationDomainError
+from speiserdim.dynamics import basin_disks
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -251,10 +251,11 @@ def test_cli_verify_leaves_numpy_random_unimported():
     probe = ("import io, sys, contextlib, speiserdim.cli as c\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    code = c.main(['verify'])\n"
-             "print(code, 'numpy.random' in sys.modules)")
+             "print(code, 'numpy.random' in sys.modules, 'numpy.fft' in sys.modules)")
     run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, timeout=60)
-    assert run.stdout.split() == ["0", "False"], run.stderr
+    # nor numpy.fft, about 1.3 ms: basin_disks takes its DFT as one matrix product
+    assert run.stdout.split() == ["0", "False", "False"], run.stderr
 
 
 def test_cli_import_stays_free_of_scipy():
@@ -512,23 +513,25 @@ def test_cli_sweep_row_after_a_zero_dimension_fails_in_place(tmp_path, monkeypat
 
 
 def test_cli_sweep_without_basin_disk_writes_the_same_csv(tmp_path, monkeypatch):
-    # without a Koenigs limit the sweep keeps the attraction_tol rule
+    # where the certificate proves no disk the sweep keeps the attraction_tol rule
     cfg = write_config(tmp_path, (
         "lambda_min = 0.75\nlambda_max = 1.0\nlambda_count = 3\n"
         "grid_resolution = 128\nmax_iterations = 80\n"
     ))
     trapped = tmp_path / "trapped.csv"
     assert main(["sweep", "--config", cfg, "--out", str(trapped)]) == 0
-    calls = []
+    found = []
 
-    def fail(*args, **kwargs):
-        calls.append(args)
-        raise LinearizationDomainError("no Koenigs limit")
+    def recorded(*args):
+        found.append(basin_disks(*args))
+        return found[-1]
 
-    monkeypatch.setattr("speiserdim.dynamics.koenigs_value", fail)
+    # an evaluator error as large as the samples pads every coefficient past any radius
+    monkeypatch.setattr("speiserdim.dynamics._EVAL_ERROR", 1.0)
+    monkeypatch.setattr("speiserdim.cli.basin_disks", recorded)
     plain = tmp_path / "plain.csv"
     assert main(["sweep", "--config", cfg, "--out", str(plain)]) == 0
-    assert len(calls) == 3
+    assert found == [()] * 3
     text = plain.read_text(encoding="utf-8")
     assert "failed" not in text
     assert text == trapped.read_text(encoding="utf-8")

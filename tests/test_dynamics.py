@@ -1,5 +1,6 @@
 """Fixed points, orbit classification, Koenigs linearization, raster rendering."""
 
+import math
 import threading
 from dataclasses import replace
 
@@ -403,7 +404,8 @@ def test_koenigs_value_gives_up_where_the_orbit_is_too_slow():
     fp = find_attracting_fixed_point(0.8, 3, 3, 0.5)
     with pytest.raises(LinearizationDomainError, match="400 steps"):
         koenigs_value(family, fp, 0j)
-    assert basin_disks(family, fp, 30.0) == ()
+    # the majorant certificate needs no Koenigs limit: its disk exists and traps orbits
+    _assert_disk_traps_orbits(family, fp)
 
 
 @pytest.mark.parametrize("factor", [1.001, 0.999])
@@ -420,7 +422,8 @@ SWEEP_LAMBDAS = sorted({float(x) for x in np.concatenate([
 
 
 # (p, eta, m) and lambdas with an attracting fixed point; the last three
-# have |multiplier| 0.64-0.91, where the orbit of 0 nears fp slowly
+# have |multiplier| 0.64-0.96, where orbits near fp slowly (at lam = 0.95,
+# mu = -0.963, the orbit of 0 needs more than koenigs_value's 400 steps)
 BASIN_PARAMS = [
     (1, 0.3, 9, SWEEP_LAMBDAS),
     (2, 0.3, 9, SWEEP_LAMBDAS),
@@ -428,7 +431,7 @@ BASIN_PARAMS = [
     (1, 0.5, 1, SWEEP_LAMBDAS),
     (3, 0.6, 5, (0.45, 0.5, 0.55, 0.6)),
     (2, 0.8, 3, (0.45, 0.5, 0.55)),
-    (2, 0.5, 9, (0.9,)),
+    (2, 0.5, 9, (0.9, 0.95)),
 ]
 
 
@@ -508,84 +511,117 @@ def test_fixed_point_search_bisects_when_newton_leaves_the_bracket(monkeypatch):
     assert fp.multiplier == pytest.approx(-0.5, abs=1e-12)
 
 
-def _koebe_t(family, fp, guard):
-    """rho = |phi(0)| and basin_disks's t: the largest t <= 0.9 with |fp| + t rho / (1 - t)^2 <= guard."""
-    rho = abs(koenigs_value(family, fp, 0j))
-    k = (guard - abs(fp.location)) / rho
-    return rho, min(0.9, ((2 * k + 1) - np.sqrt(4 * k + 1)) / (2 * k))
+def _assert_disk_traps_orbits(family, fp, guard=30.0, tol=1e-6):
+    """The one disk of basin_disks: from samples on its circle and inside it, every step hits no
+    pole, stays below the guard and within S^k(r) of fp, and n steps, S^n(r) < tol, reach tol."""
+    (c, r), = basin_disks(family, fp, guard)
+    r_s, majorant = dynamics._basin_majorant(family, fp, guard)
+    assert c == fp.location and r == r_s > 0.0
+    rng = np.random.default_rng(8)
+    inside = np.sqrt(rng.uniform(0.0, 1.0, 64)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 64))
+    z, s = c + r * np.concatenate([np.exp(2j * np.pi * np.arange(64) / 64), inside]), r
+    while s >= tol:
+        assert majorant(s) < s
+        z, pole = eval_family_array(family, z)
+        s = majorant(s)
+        assert not pole.any()
+        assert np.max(np.abs(z)) < guard
+        assert np.max(np.abs(z - fp.location)) <= s
+    assert np.max(np.abs(z - fp.location)) < tol
 
 
 @pytest.mark.parametrize("p, eta, m, lams", BASIN_PARAMS,
                          ids=[f"{p}-{eta}-{m}" for p, eta, m, _ in BASIN_PARAMS])
 def test_basin_disks_trap_orbits(p, eta, m, lams):
-    # every disk lies in psi(D(0, t rho)) or, for the 0 disk, maps into it, where
-    # orbits obey |f^n - fp| <= t rho q / (1 - t q)^2 with q = |mu|^n; one step
-    # later for the 0 disk
-    rng = np.random.default_rng(8)
-    circle = np.exp(2j * np.pi * np.arange(64) / 64)
-    inside = np.sqrt(rng.uniform(0.0, 1.0, 64)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 64))
     for lam in lams:
-        fp = find_attracting_fixed_point(lam, m, p, eta)
         family = MapFamily(tag="FLambda", lam=lam, m=m, p=p, eta=eta)
-        disks = basin_disks(family, fp, 30.0)
-        rho, t = _koebe_t(family, fp, 30.0)
-        mu = abs(fp.multiplier)
-        assert [c for c, _ in disks] == ([fp.location, eta, 0.0] if t > mu else [fp.location])
-        for (c, r), lag in zip(disks, (0, 0, 1)):
-            assert r > 0.0
-            z = c + r * np.concatenate([circle, inside])
-            n = 0
-            while n <= lag or t * rho * mu ** (n - lag) / (1 - t * mu ** (n - lag)) ** 2 >= 1e-6:
-                z, pole = eval_family_array(family, z)
-                n += 1
-                assert not pole.any()
-                assert np.max(np.abs(z)) < 30.0
-            assert np.max(np.abs(z - fp.location)) < 1e-6
+        _assert_disk_traps_orbits(family, find_attracting_fixed_point(lam, m, p, eta))
 
 
-def test_basin_disk_radii_follow_the_koebe_rule(monkeypatch):
-    rho, t = _koebe_t(FAM, FP, 30.0)
-    mu = abs(FP.multiplier)
-    r_eta = (1 - mu) * (0.9 - mu) * rho / (4 * (1 + mu) ** 3)
-    assert t == 0.9
-    assert np.ravel(basin_disks(FAM, FP, 30.0)) == pytest.approx(
-        [FP.location, 0.9 * rho / 1.9 ** 2, 0.3, r_eta, 0.0, np.sqrt(r_eta) / (8 * np.sqrt(0.3 * E1))], rel=1e-12)
-    assert 0.035 < basin_disks(FAM, FP, 30.0)[0][1] < 0.036
-    # the orbits of psi(D(0, t rho)) stay below |fp| + t rho / (1 - t)^2; at 2 rho, t = 1/2
-    (_, r), = basin_disks(FAM, FP, abs(FP.location) + 2.0 * rho)[:1]
-    assert r == pytest.approx(rho / 4.5, rel=1e-12)
-    assert len(basin_disks(FAM, FP, abs(FP.location) + 90.0 * rho * (1 - 1e-9))) == 3
-    assert _koebe_t(FAM, FP, abs(FP.location) + 90.0 * rho * (1 - 1e-9))[1] < 0.9
+@pytest.mark.parametrize("p, eta, attracting", [(1, 0.3, True), (2, 0.5, False)])
+def test_basin_disk_of_h(p, eta, attracting):
+    # H's wp argument is z + i pi/2; at p = 2, eta = 0.5 its fixed point repels
+    # (mu = -1.014), and no disk is certified, though theta is capped below 1
+    family = MapFamily(tag="H", p=p, eta=eta)
+    x = brentq(lambda x: eval_family(family, complex(x)).value.real - x, 0.0, eta, xtol=1e-15, rtol=8.9e-16)
+    _, d, _ = eval_deriv_array(family, [x])
+    fp = FixedPointData(location=x, multiplier=float(d[0].real), lam=1.0)
+    assert (abs(fp.multiplier) < 1.0) == attracting
+    if attracting:
+        _assert_disk_traps_orbits(family, fp)
+    else:
+        assert basin_disks(family, fp, 30.0) == ()
+
+
+@pytest.mark.parametrize("p, eta, m, lams", BASIN_PARAMS,
+                         ids=[f"{p}-{eta}-{m}" for p, eta, m, _ in BASIN_PARAMS])
+def test_majorant_bounds_the_map_on_the_outer_circle(p, eta, m, lams):
+    # basin_disks' M2 = eta ((delta^-2 + T) / e1)^(2p) + |fp| on |z - fp| = R2 = 4 R1 / 3, where the
+    # wp argument is delta = pi/2 - m arcsin(lam (|fp| + R2) / m) from the lattice
+    T = math.fsum(4.6 * (4 * j + 3) * np.pi ** (-4 * j - 4) * (np.pi / np.sqrt(2)) ** (4 * j + 2) for j in range(60))
+    assert T == pytest.approx(4.6 * 26 / (9 * np.pi ** 2), rel=1e-14)
+    assert 1.3464 < T < 1.3465
+    circle = np.exp(2j * np.pi * (np.arange(4096) + 0.5) / 4096)
+    for lam in lams:
+        family = MapFamily(tag="FLambda", lam=lam, m=m, p=p, eta=eta)
+        fp = find_attracting_fixed_point(lam, m, p, eta)
+        for r2 in 4.0 * np.array([0.2, 0.4, 0.6, 0.8]) / 3.0:
+            s = lam * (fp.location + r2) / m
+            if s >= 1 or (delta := np.pi / 2 - m * np.arcsin(s)) <= 0:
+                continue
+            m2 = eta * ((delta ** -2 + T) / E1) ** (2 * p) + fp.location
+            v, pole = eval_family_array(family, fp.location + r2 * circle)
+            assert not pole.any()
+            assert np.max(np.abs(v - fp.location)) <= m2
+
+
+def test_basin_disk_radius_follows_the_majorant_rule(monkeypatch):
+    # the default map: r = 0.4 * 2^(-4/32), the largest grid radius with S(r) <= theta r,
+    # theta = (1 + |mu|) / 2; the next grid radius fails
+    r, majorant = dynamics._basin_majorant(FAM, FP, 30.0)
+    assert basin_disks(FAM, FP, 30.0) == ((FP.location, r),)
+    assert r == pytest.approx(0.4 * 2 ** (-4 / 32), rel=1e-15)
+    theta = (1 + abs(FP.multiplier)) / 2
+    assert majorant(r) <= theta * r
+    assert majorant(r * 2 ** (1 / 32)) > theta * r * 2 ** (1 / 32)
+    # a smaller theta certifies a smaller disk
+    assert basin_disks(FAM, replace(FP, multiplier=0.0), 30.0)[0][1] < r
+    # orbits stay below |fp| + r, which must be below the guard
+    (_, r_guard), = basin_disks(FAM, FP, FP.location + 0.1)
+    assert 0.1 * 2 ** (-1 / 32) <= r_guard < 0.1
     assert basin_disks(FAM, FP, abs(FP.location)) == ()
-    assert basin_disks(FAM, replace(FP, multiplier=0.0), 30.0) == ()
 
-    def fail(*args, **kwargs):
-        raise LinearizationDomainError("no Koenigs limit")
+    real = dynamics.eval_family_array
 
-    monkeypatch.setattr("speiserdim.dynamics.koenigs_value", fail)
+    def bumped(size):
+        def sample(family, z):
+            v, pole = real(family, z)
+            return v + size * (np.arange(v.shape[-1]) == 0), pole
+        return sample
+
+    # a bump on one sample of each circle raises every coefficient: the radius shrinks, or no disk is left
+    monkeypatch.setattr(dynamics, "eval_family_array", bumped(1.0))
+    assert 0.0 < basin_disks(FAM, FP, 30.0)[0][1] < r
+    monkeypatch.setattr(dynamics, "eval_family_array", bumped(10.0))
     assert basin_disks(FAM, FP, 30.0) == ()
 
 
 @pytest.mark.parametrize("p", [1, 2])
 @pytest.mark.parametrize("lam", [0.75, 1.0])
 def test_second_derivative_at_the_critical_point_matches_a_finite_difference(p, lam):
-    # basin_disks sizes the 0 disk by f''(0) = -8 p eta e1 lam^2
+    # f''(0) = -8 p eta e1 lam^2, as wp(w + i pi/2) = -e1 + 2 e1^2 w^2 + O(w^4)
     family = MapFamily(tag="FLambda", lam=lam, m=9, p=p, eta=0.3)
     h = 1e-4
     v, _ = eval_family_array(family, [h, 0.0, -h])
     fd = (v[0] - 2.0 * v[1] + v[2]) / h ** 2
     assert abs(fd - (-8.0 * p * 0.3 * E1 * lam ** 2)) < 1e-6 * abs(fd)
-    fp = find_attracting_fixed_point(lam, 9, p, 0.3)
-    disks = basin_disks(family, fp, 30.0)
-    if len(disks) == 3:  # |h'(0)| = sqrt(|f''(0)| / 2) and delta0 = sqrt(r_eta) / (4 |h'(0)|)
-        assert disks[2][1] == pytest.approx(np.sqrt(disks[1][1]) / (4.0 * np.sqrt(abs(fd) / 2.0)), rel=1e-6)
 
 
 def _render_with_and_without_basin(lam, grid, guard, exits):
     fp = find_attracting_fixed_point(lam, 9, 1, 0.3)
     family = MapFamily(tag="FLambda", lam=lam, m=9, p=1, eta=0.3)
     disks = basin_disks(family, fp, guard)
-    assert len(disks) == 3
+    assert disks
     plain = render(grid, family, fp, guard_modulus=guard, guard_exit_limit=exits)
     trapped = render(grid, family, fp, guard_modulus=guard, guard_exit_limit=exits, disks=disks)
     return plain.codes, trapped.codes
@@ -604,9 +640,8 @@ def test_basin_disks_keep_the_render_masks(lam, grid, guard, exits):
     assert np.array_equal(plain == CODE_JULIA, trapped == CODE_JULIA)
 
 
-def test_disks_about_eta_and_0_cut_the_sweep_point_steps(monkeypatch):
-    # the default sweep's lambdas at 128^2: the eta and 0 disks stop orbits
-    # before they reach the fp disk, with the same masks
+def test_basin_disk_cuts_the_sweep_point_steps(monkeypatch):
+    # the default sweep's lambdas at 128^2: orbits stop in the disk, with the same masks
     steps = []
     real = dynamics.eval_family_array
 
@@ -614,20 +649,21 @@ def test_disks_about_eta_and_0_cut_the_sweep_point_steps(monkeypatch):
         steps[-1] += np.size(z)
         return real(family, z)
 
-    monkeypatch.setattr(dynamics, "eval_family_array", counted)
     grid = GridSpec(resolution=128)
     totals = {}
     for lam in np.linspace(0.75, 1.0, 8):
         family = MapFamily(tag="FLambda", lam=float(lam), m=9, p=1, eta=0.3)
         fp = find_attracting_fixed_point(float(lam), 9, 1, 0.3)
         disks = basin_disks(family, fp, 30.0)
+        monkeypatch.setattr(dynamics, "eval_family_array", counted)
         masks = []
-        for name, chosen in (("fp", disks[:1]), ("all", disks)):
+        for name, chosen in (("plain", ()), ("disk", disks)):
             steps.append(0)
             masks.append(render(grid, family, fp, guard_modulus=30.0, guard_exit_limit=2, disks=chosen).codes < 0)
             totals[name] = totals.get(name, 0) + steps[-1]
+        monkeypatch.setattr(dynamics, "eval_family_array", real)
         assert np.array_equal(masks[0], masks[1])
-    assert totals["all"] <= 0.9 * totals["fp"]
+    assert totals["disk"] <= 0.2 * totals["plain"], totals
 
 
 @pytest.mark.parametrize("lam, iterations", [(0.75, 12), (1.0, 16)])
