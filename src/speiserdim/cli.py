@@ -40,8 +40,7 @@ from .dimension import (
 )
 from .dynamics import (
     NoAttractingFixedPointError,
-    _basin_majorant,
-    basin_disks,
+    basin_majorant,
     find_attracting_fixed_point,
     koenigs_check,
     koenigs_value,
@@ -223,13 +222,13 @@ def _run_verify(cfg: ExperimentConfig) -> tuple[str, bool]:
     g0 = koenigs_value(fam_fl, fp, complex(fp.location))
     c.add("koenigs-derivative-one", abs((g1 - g0) / 1e-5 - 1.0), 1e-4)
 
-    # the circle of the basin disk: n steps leave it within S^n(r) of fp, S the majorant of basin_disks
-    r, majorant = _basin_majorant(fam_fl, fp, cfg.guard_modulus) or (0.0, None)
-    z, s, hit = fp.location + r * np.exp(2j * np.pi * np.arange(64) / 64), r, False
+    # the circle of the basin disk: n steps leave it within S^n(r) of fp; it fails if no disk is certified
+    r, majorant = basin_majorant(fam_fl, fp, cfg.guard_modulus) or (0.0, None)
+    z, s, failed = fp.location + r * np.exp(2j * np.pi * np.arange(64) / 64), r, majorant is None
     while s >= cfg.attraction_tol and (s_next := majorant(s)) < s:
         (z, pole), s = eval_family_array(fam_fl, z), s_next
-        hit = hit or bool(pole.any())
-    trap = math.inf if hit or s >= cfg.attraction_tol else float(np.max(np.abs(z - fp.location)))
+        failed = failed or bool(pole.any())
+    trap = math.inf if failed or s >= cfg.attraction_tol else float(np.max(np.abs(z - fp.location)))
     c.add("basin-disk-traps-orbits", trap, cfg.attraction_tol)
 
     return c.report()
@@ -297,14 +296,14 @@ def cmd_sweep(cfg: ExperimentConfig, out: str) -> int:
         try:
             fp = find_attracting_fixed_point(lam, cfg.m, cfg.p, cfg.eta)
             family = MapFamily(tag="FLambda", lam=lam, m=cfg.m, p=cfg.p, eta=cfg.eta)
-            # box counting reads attracted or not, so orbits stop at the certified disks
+            # box counting reads attracted or not, so orbits stop in the certified basin disk
+            basin = basin_majorant(family, fp, cfg.guard_modulus)
             raster = render(
-                grid,
+                replace(grid, attraction_tol=max(grid.attraction_tol, basin[0])) if basin else grid,
                 family,
                 fp,
                 guard_modulus=cfg.guard_modulus,
                 guard_exit_limit=cfg.guard_exits,
-                disks=basin_disks(family, fp, cfg.guard_modulus),
             )
             est = box_counting(raster, scales)
             if prev is None:

@@ -12,9 +12,10 @@ Undetermined; they are counted and reported, never dropped.
 
 The raster target set for dimension estimates is Julia plus Undetermined,
 i.e. everything not observed to be attracted.  The sweep, which reads only
-that set, also stops orbits in the disk about fp of `basin_disks`, which f
-provably maps into itself; the only class it can change is Undetermined to
-attracted, where the budget ran out on an orbit that provably converges.
+that set, widens `attraction_tol` to the radius of `basin_majorant`'s disk
+about fp, which f provably maps into itself; the only class this can change
+is Undetermined to attracted, where the budget ran out on an orbit that
+provably converges.
 
 When no attracting fixed point is supplied, rendering falls back to an
 attracting-cycle sweep: a pixel counts as attracted when its orbit revisits
@@ -44,7 +45,7 @@ DEFAULT_GUARD_MODULUS = 1e12
 DEFAULT_GUARD_EXITS = 3
 
 _CYCLE_STABLE_STEPS = 5
-_EVAL_ERROR = 1e-12  # the error of eval_family_array that basin_disks assumes
+_EVAL_ERROR = 1e-12  # the error of eval_family_array that basin_majorant assumes
 
 
 class NoAttractingFixedPointError(SpeiserdimError, RuntimeError):
@@ -162,10 +163,9 @@ def _iterate_block(
     guard_modulus: float,
     guard_exit_limit: int,
     cycle_periods: int,
-    disks: tuple[tuple[float, float], ...] = (),
 ) -> np.ndarray:
     """Classify a flat array of starting points; returns int32 codes.  With fp,
-    an orbit is attracted once |v - fp| < tol or v enters a (centre, radius) disk.
+    an orbit is attracted once |v - fp| < tol.
 
     At most `_BLOCK_POINTS` orbits live at once, one per slot: after each step
     the finished orbits leave and a cursor over the unstarted points refills
@@ -197,8 +197,6 @@ def _iterate_block(
         mod = np.abs(v)
         if fp is not None:
             att = np.abs(v - fp.location) < tol
-            for c, r in disks:
-                att |= np.abs(v - c) < r
         else:
             cycle[0] = np.concatenate((z[:, None], cycle[0][:, :-1]), axis=1)
             cycle[1] = np.where((np.abs(v[:, None] - cycle[0]) < tol).any(axis=1), cycle[1] + 1, 0)
@@ -265,7 +263,7 @@ def _mirrors(grid: GridSpec, family: MapFamily, fp: FixedPointData | None) -> tu
     f(conj z) = conj f(z) bitwise (-conj f(z) for FMax).  So under either
     mirror the orbit of the mirrored start is tau(orbit) bitwise from step 1
     on, with tau = conj for G, H, Hm and FLambda and tau = -conj for FMax.
-    The classification reads |v - c| (c = fp or a real disk centre), |v|, the pole mask,
+    The classification reads |v - fp|, |v|, the pole mask,
     |v_k - v_j| and, in cycle mode, |v_k - z0| for the first cycle_periods
     steps.  All are invariant under tau except:
 
@@ -295,17 +293,15 @@ def render(
     guard_modulus: float = DEFAULT_GUARD_MODULUS,
     guard_exit_limit: int = DEFAULT_GUARD_EXITS,
     cycle_periods: int = 3,
-    disks: tuple[tuple[float, float], ...] = (),
 ) -> RasterResult:
     """Classify every pixel center, on the calling thread.
 
     Only the pixels that no mirror of `_mirrors` maps from another are
     iterated (a quarter of a centred grid in fixed-point mode), in one
     `_iterate_block` pass through its orbit slots, and their codes are
-    copied to their mirror images.  With fp, orbits stop in D(fp, tol) and
-    in `disks`, real-centred (centre, radius) pairs; one about fp, as
-    `basin_disks` gives, widens tol.  The pixels that start in one get code
-    0.  `threads` is accepted so that existing callers keep working; it has no effect.
+    copied to their mirror images.  With fp, orbits stop in D(fp, tol), tol
+    the grid's attraction_tol, and the pixels that start in it get code 0.
+    `threads` is accepted so that existing callers keep working; it has no effect.
     """
     if fp is None and cycle_periods < 1:
         raise ValueError("cycle_periods must be at least 1")
@@ -314,18 +310,16 @@ def render(
     row, col = _mirrors(grid, family, fp)
     rows = (n + 1) // 2 if row else n
     cols = (n + 1) // 2 if col else n
-    traps = dict(disks)
-    tol = max(grid.attraction_tol, traps.pop(fp.location, 0.0)) if fp is not None else grid.attraction_tol
+    tol = grid.attraction_tol
 
     codes = np.empty((n, n), dtype=np.int32)
     codes[:rows, :cols] = _iterate_block(xs[None, :cols] + 1j * ys[:rows, None], family, fp, grid.max_iterations, tol,
-                                         guard_modulus, guard_exit_limit, cycle_periods,
-                                         tuple(traps.items())).reshape(rows, cols)
+                                         guard_modulus, guard_exit_limit, cycle_periods).reshape(rows, cols)
     codes[:rows, cols:] = codes[:rows, :n - cols][:, ::-1]
     codes[rows:] = codes[:n - rows][::-1]
-    for c, r in ((fp.location, tol), *traps.items()) if fp is not None else ():
-        band = np.abs(ys) < r
-        codes[band] = np.where(np.hypot(xs[None, :] - c, ys[band, None]) < r, 0, codes[band])
+    if fp is not None:
+        band = np.abs(ys) < tol
+        codes[band] = np.where(np.hypot(xs[None, :] - fp.location, ys[band, None]) < tol, 0, codes[band])
     return RasterResult(grid=grid, family=family, codes=codes)
 
 
@@ -357,29 +351,8 @@ def koenigs_value(family: MapFamily, fp: FixedPointData, z: complex) -> complex:
     return val
 
 
-def _basin_majorant(family: MapFamily, fp: FixedPointData, guard_modulus: float):
-    """(r, S) of basin_disks, S the majorant as a function of rho = |z - fp|, or None."""
-    n, k, zeta, eps, r1 = 128, np.arange(64), abs(fp.location), np.finfo(float).eps, np.array([0.2, 0.4, 0.6, 0.8])
-    reach = zeta + 4.0 * r1 / 3.0  # |fp| + R2
-    a = reach if family.tag == "H" else family.m * np.arcsin(np.minimum(_arcsin_scale(family) * reach / family.m, 1.0))
-    r1, delta = r1[a < PI / 2], PI / 2 - a[a < PI / 2]
-    m2 = family.eta * ((delta ** -2.0 + 4.6 * 26.0 / (9.0 * PI ** 2)) / square_lattice().e1) ** (2 * family.p) + zeta
-    w = np.exp(2j * PI / n * (np.outer(np.arange(n), k) % n))  # w[j, k] = e^(2 pi i j k / N); w[:, 1] the circle
-    v, _ = eval_family_array(family, fp.location + r1[:, None] * w[:, 1])
-    pad = (_EVAL_ERROR + n * eps) * (np.max(np.abs(v), axis=1) + zeta) + 48.0 * eps * m2 * (zeta + r1) / r1
-    c = np.einsum("jk,kl->jl", v - fp.location, np.conj(w)) / n  # the DFT; einsum, as @ would touch BLAS buffers
-    # S(R1 x) = sum_k b_k x^k + tail, b_k = |c_k| + pad + the aliases' M2 q^k q^N / (1 - q^N), q = 3/4
-    b = np.abs(c) + pad[:, None] + m2[:, None] * 0.75 ** (k + n) / (1 - 0.75 ** n)
-    series = lambda x: np.einsum("ik,gk->ig", b, x[:, None] ** k) + m2[:, None] * (0.75 * x) ** 64 / (1 - 0.75 * x)
-    x, theta = 2.0 ** (-np.arange(400) / 32.0), 0.5 + 0.5 * min(abs(fp.multiplier), 1.0 - 1e-12)
-    fits = np.flatnonzero((series(x) <= theta * (rho := r1[:, None] * x)) & (zeta + rho < guard_modulus))
-    if fits.size:
-        i, g = divmod(fits[np.argmax(rho.flat[fits])], x.size)
-        return float(rho[i, g]), lambda s: float(series(np.array([s / r1[i]]))[i, 0])
-
-
-def basin_disks(family: MapFamily, fp: FixedPointData, guard_modulus: float) -> tuple[tuple[float, float], ...]:
-    """One disk ((fp, r),) that f maps into itself, or () if none is certified.  For H, Hm and FLambda.
+def basin_majorant(family: MapFamily, fp: FixedPointData, guard_modulus: float):
+    """(r, S) for H, Hm and FLambda: f maps D(fp, r) into itself, S the majorant below; None if none is certified.
 
     Let S(rho) >= |f(z) - fp| on |z - fp| = rho < R2 have nonnegative coefficients, theta = (1 + |mu|)/2.
     If S(r) <= theta r, f maps the closed D(fp, r) into D(fp, theta r): orbits from it converge to the
@@ -401,7 +374,23 @@ def basin_disks(family: MapFamily, fp: FixedPointData, guard_modulus: float) -> 
         |c_k|.  S rounds by about K eps relative, which 1 - theta covers, as |mu| is capped at 1 - 1e-12.
     r is the largest rho = R1 2^(-g/32), g < 400, with S(rho) <= theta rho and |fp| + rho < guard_modulus.
     """
-    return ((fp.location, found[0]),) if (found := _basin_majorant(family, fp, guard_modulus)) else ()
+    n, k, zeta, eps, r1 = 128, np.arange(64), abs(fp.location), np.finfo(float).eps, np.array([0.2, 0.4, 0.6, 0.8])
+    reach = zeta + 4.0 * r1 / 3.0  # |fp| + R2
+    a = reach if family.tag == "H" else family.m * np.arcsin(np.minimum(_arcsin_scale(family) * reach / family.m, 1.0))
+    r1, delta = r1[a < PI / 2], PI / 2 - a[a < PI / 2]
+    m2 = family.eta * ((delta ** -2.0 + 4.6 * 26.0 / (9.0 * PI ** 2)) / square_lattice().e1) ** (2 * family.p) + zeta
+    w = np.exp(2j * PI / n * (np.outer(np.arange(n), k) % n))  # w[j, k] = e^(2 pi i j k / N); w[:, 1] the circle
+    v, _ = eval_family_array(family, fp.location + r1[:, None] * w[:, 1])
+    pad = (_EVAL_ERROR + n * eps) * (np.max(np.abs(v), axis=1) + zeta) + 48.0 * eps * m2 * (zeta + r1) / r1
+    c = np.einsum("jk,kl->jl", v - fp.location, np.conj(w)) / n  # the DFT; einsum, as @ would touch BLAS buffers
+    # S(R1 x) = sum_k b_k x^k + tail, b_k = |c_k| + pad + the aliases' M2 q^k q^N / (1 - q^N), q = 3/4
+    b = np.abs(c) + pad[:, None] + m2[:, None] * 0.75 ** (k + n) / (1 - 0.75 ** n)
+    series = lambda x: np.einsum("ik,gk->ig", b, x[:, None] ** k) + m2[:, None] * (0.75 * x) ** 64 / (1 - 0.75 * x)
+    x, theta = 2.0 ** (-np.arange(400) / 32.0), 0.5 + 0.5 * min(abs(fp.multiplier), 1.0 - 1e-12)
+    fits = np.flatnonzero((series(x) <= theta * (rho := r1[:, None] * x)) & (zeta + rho < guard_modulus))
+    if fits.size:
+        i, g = divmod(fits[np.argmax(rho.flat[fits])], x.size)
+        return float(rho[i, g]), lambda s: float(series(np.array([s / r1[i]]))[i, 0])
 
 
 def koenigs_check(family: MapFamily, fp: FixedPointData, z: complex) -> float:

@@ -26,7 +26,7 @@ from speiserdim import cli
 from speiserdim.cli import main
 from speiserdim.config import validate_config
 from speiserdim.dimension import box_counting
-from speiserdim.dynamics import basin_disks
+from speiserdim.dynamics import basin_majorant
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -254,7 +254,7 @@ def test_cli_verify_leaves_numpy_random_unimported():
              "print(code, 'numpy.random' in sys.modules, 'numpy.fft' in sys.modules)")
     run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, timeout=60)
-    # nor numpy.fft, about 1.3 ms: basin_disks takes its DFT as one matrix product
+    # nor numpy.fft, about 1.3 ms: basin_majorant takes its DFT as one einsum
     assert run.stdout.split() == ["0", "False", "False"], run.stderr
 
 
@@ -523,15 +523,15 @@ def test_cli_sweep_without_basin_disk_writes_the_same_csv(tmp_path, monkeypatch)
     found = []
 
     def recorded(*args):
-        found.append(basin_disks(*args))
+        found.append(basin_majorant(*args))
         return found[-1]
 
     # an evaluator error as large as the samples pads every coefficient past any radius
     monkeypatch.setattr("speiserdim.dynamics._EVAL_ERROR", 1.0)
-    monkeypatch.setattr("speiserdim.cli.basin_disks", recorded)
+    monkeypatch.setattr("speiserdim.cli.basin_majorant", recorded)
     plain = tmp_path / "plain.csv"
     assert main(["sweep", "--config", cfg, "--out", str(plain)]) == 0
-    assert found == [()] * 3
+    assert found == [None] * 3
     text = plain.read_text(encoding="utf-8")
     assert "failed" not in text
     assert text == trapped.read_text(encoding="utf-8")
@@ -540,6 +540,15 @@ def test_cli_sweep_without_basin_disk_writes_the_same_csv(tmp_path, monkeypatch)
 def test_cli_verify_checks_the_basin_disk(capsys):
     assert main(["verify", "--seed", "0"]) == 0
     assert re.search(r"^PASS  basin-disk-traps-orbits ", capsys.readouterr().out, re.M)
+
+
+def test_cli_verify_fails_the_basin_check_without_a_certified_disk(capsys, monkeypatch):
+    # an evaluator error as large as the samples leaves no disk, and nothing to trap orbits
+    monkeypatch.setattr("speiserdim.dynamics._EVAL_ERROR", 1.0)
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert re.search(r"^FAIL  basin-disk-traps-orbits +residual=inf ", out, re.M)
+    assert "verify: 36/37 checks passed" in out
 
 
 @pytest.mark.parametrize("text, formula", [

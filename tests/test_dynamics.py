@@ -30,7 +30,7 @@ from speiserdim.dynamics import (
     DEFAULT_GUARD_MODULUS,
     FixedPointData,
     _iterate_block,
-    basin_disks,
+    basin_majorant,
 )
 from speiserdim.elliptic import square_lattice
 
@@ -398,8 +398,8 @@ def test_koenigs_value_of_the_singular_value_matches_a_second_order_reference(p,
 
 def test_koenigs_value_gives_up_where_the_orbit_is_too_slow():
     # |mu| = 0.996: after 400 steps the orbit of 0 is still 6e-3 from fp, and
-    # its quotients are about 2% above the limit (3,602 steps reach 1e-8);
-    # such a value would widen the basin disk past what is proven
+    # its quotients are about 2% above the limit (3,602 steps reach 1e-8),
+    # so it raises rather than return a value that far off
     family = MapFamily(tag="FLambda", lam=0.8, m=3, p=3, eta=0.5)
     fp = find_attracting_fixed_point(0.8, 3, 3, 0.5)
     with pytest.raises(LinearizationDomainError, match="400 steps"):
@@ -512,14 +512,13 @@ def test_fixed_point_search_bisects_when_newton_leaves_the_bracket(monkeypatch):
 
 
 def _assert_disk_traps_orbits(family, fp, guard=30.0, tol=1e-6):
-    """The one disk of basin_disks: from samples on its circle and inside it, every step hits no
-    pole, stays below the guard and within S^k(r) of fp, and n steps, S^n(r) < tol, reach tol."""
-    (c, r), = basin_disks(family, fp, guard)
-    r_s, majorant = dynamics._basin_majorant(family, fp, guard)
-    assert c == fp.location and r == r_s > 0.0
+    """The disk D(fp, r) of basin_majorant: from samples on its circle and inside it, every step hits
+    no pole, stays below the guard and within S^k(r) of fp, and n steps, S^n(r) < tol, reach tol."""
+    r, majorant = basin_majorant(family, fp, guard)
+    assert r > 0.0
     rng = np.random.default_rng(8)
     inside = np.sqrt(rng.uniform(0.0, 1.0, 64)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 64))
-    z, s = c + r * np.concatenate([np.exp(2j * np.pi * np.arange(64) / 64), inside]), r
+    z, s = fp.location + r * np.concatenate([np.exp(2j * np.pi * np.arange(64) / 64), inside]), r
     while s >= tol:
         assert majorant(s) < s
         z, pole = eval_family_array(family, z)
@@ -532,7 +531,7 @@ def _assert_disk_traps_orbits(family, fp, guard=30.0, tol=1e-6):
 
 @pytest.mark.parametrize("p, eta, m, lams", BASIN_PARAMS,
                          ids=[f"{p}-{eta}-{m}" for p, eta, m, _ in BASIN_PARAMS])
-def test_basin_disks_trap_orbits(p, eta, m, lams):
+def test_basin_disk_traps_orbits(p, eta, m, lams):
     for lam in lams:
         family = MapFamily(tag="FLambda", lam=lam, m=m, p=p, eta=eta)
         _assert_disk_traps_orbits(family, find_attracting_fixed_point(lam, m, p, eta))
@@ -550,13 +549,13 @@ def test_basin_disk_of_h(p, eta, attracting):
     if attracting:
         _assert_disk_traps_orbits(family, fp)
     else:
-        assert basin_disks(family, fp, 30.0) == ()
+        assert basin_majorant(family, fp, 30.0) is None
 
 
 @pytest.mark.parametrize("p, eta, m, lams", BASIN_PARAMS,
                          ids=[f"{p}-{eta}-{m}" for p, eta, m, _ in BASIN_PARAMS])
 def test_majorant_bounds_the_map_on_the_outer_circle(p, eta, m, lams):
-    # basin_disks' M2 = eta ((delta^-2 + T) / e1)^(2p) + |fp| on |z - fp| = R2 = 4 R1 / 3, where the
+    # basin_majorant's M2 = eta ((delta^-2 + T) / e1)^(2p) + |fp| on |z - fp| = R2 = 4 R1 / 3, where the
     # wp argument is delta = pi/2 - m arcsin(lam (|fp| + R2) / m) from the lattice
     T = math.fsum(4.6 * (4 * j + 3) * np.pi ** (-4 * j - 4) * (np.pi / np.sqrt(2)) ** (4 * j + 2) for j in range(60))
     assert T == pytest.approx(4.6 * 26 / (9 * np.pi ** 2), rel=1e-14)
@@ -578,18 +577,17 @@ def test_majorant_bounds_the_map_on_the_outer_circle(p, eta, m, lams):
 def test_basin_disk_radius_follows_the_majorant_rule(monkeypatch):
     # the default map: r = 0.4 * 2^(-4/32), the largest grid radius with S(r) <= theta r,
     # theta = (1 + |mu|) / 2; the next grid radius fails
-    r, majorant = dynamics._basin_majorant(FAM, FP, 30.0)
-    assert basin_disks(FAM, FP, 30.0) == ((FP.location, r),)
+    r, majorant = basin_majorant(FAM, FP, 30.0)
     assert r == pytest.approx(0.4 * 2 ** (-4 / 32), rel=1e-15)
     theta = (1 + abs(FP.multiplier)) / 2
     assert majorant(r) <= theta * r
     assert majorant(r * 2 ** (1 / 32)) > theta * r * 2 ** (1 / 32)
     # a smaller theta certifies a smaller disk
-    assert basin_disks(FAM, replace(FP, multiplier=0.0), 30.0)[0][1] < r
+    assert basin_majorant(FAM, replace(FP, multiplier=0.0), 30.0)[0] < r
     # orbits stay below |fp| + r, which must be below the guard
-    (_, r_guard), = basin_disks(FAM, FP, FP.location + 0.1)
+    r_guard, _ = basin_majorant(FAM, FP, FP.location + 0.1)
     assert 0.1 * 2 ** (-1 / 32) <= r_guard < 0.1
-    assert basin_disks(FAM, FP, abs(FP.location)) == ()
+    assert basin_majorant(FAM, FP, abs(FP.location)) is None
 
     real = dynamics.eval_family_array
 
@@ -601,9 +599,9 @@ def test_basin_disk_radius_follows_the_majorant_rule(monkeypatch):
 
     # a bump on one sample of each circle raises every coefficient: the radius shrinks, or no disk is left
     monkeypatch.setattr(dynamics, "eval_family_array", bumped(1.0))
-    assert 0.0 < basin_disks(FAM, FP, 30.0)[0][1] < r
+    assert 0.0 < basin_majorant(FAM, FP, 30.0)[0] < r
     monkeypatch.setattr(dynamics, "eval_family_array", bumped(10.0))
-    assert basin_disks(FAM, FP, 30.0) == ()
+    assert basin_majorant(FAM, FP, 30.0) is None
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -617,13 +615,18 @@ def test_second_derivative_at_the_critical_point_matches_a_finite_difference(p, 
     assert abs(fd - (-8.0 * p * 0.3 * E1 * lam ** 2)) < 1e-6 * abs(fd)
 
 
+def _widened(grid, family, fp, guard):
+    """The grid with attraction_tol widened to the basin radius, as the sweep renders it."""
+    basin = basin_majorant(family, fp, guard)
+    assert basin
+    return replace(grid, attraction_tol=max(grid.attraction_tol, basin[0]))
+
+
 def _render_with_and_without_basin(lam, grid, guard, exits):
     fp = find_attracting_fixed_point(lam, 9, 1, 0.3)
     family = MapFamily(tag="FLambda", lam=lam, m=9, p=1, eta=0.3)
-    disks = basin_disks(family, fp, guard)
-    assert disks
     plain = render(grid, family, fp, guard_modulus=guard, guard_exit_limit=exits)
-    trapped = render(grid, family, fp, guard_modulus=guard, guard_exit_limit=exits, disks=disks)
+    trapped = render(_widened(grid, family, fp, guard), family, fp, guard_modulus=guard, guard_exit_limit=exits)
     return plain.codes, trapped.codes
 
 
@@ -634,7 +637,7 @@ def _render_with_and_without_basin(lam, grid, guard, exits):
     (1.0, GridSpec(center=0.3 + 0.2j, half_width=1.5, resolution=96, max_iterations=60), 30.0, 2),
     (0.9, GridSpec(resolution=64, max_iterations=60), 1e12, 3),
 ])
-def test_basin_disks_keep_the_render_masks(lam, grid, guard, exits):
+def test_basin_disk_keeps_the_render_masks(lam, grid, guard, exits):
     plain, trapped = _render_with_and_without_basin(lam, grid, guard, exits)
     assert np.array_equal(plain < 0, trapped < 0)
     assert np.array_equal(plain == CODE_JULIA, trapped == CODE_JULIA)
@@ -654,12 +657,12 @@ def test_basin_disk_cuts_the_sweep_point_steps(monkeypatch):
     for lam in np.linspace(0.75, 1.0, 8):
         family = MapFamily(tag="FLambda", lam=float(lam), m=9, p=1, eta=0.3)
         fp = find_attracting_fixed_point(float(lam), 9, 1, 0.3)
-        disks = basin_disks(family, fp, 30.0)
+        widened = _widened(grid, family, fp, 30.0)
         monkeypatch.setattr(dynamics, "eval_family_array", counted)
         masks = []
-        for name, chosen in (("plain", ()), ("disk", disks)):
+        for name, chosen in (("plain", grid), ("disk", widened)):
             steps.append(0)
-            masks.append(render(grid, family, fp, guard_modulus=30.0, guard_exit_limit=2, disks=chosen).codes < 0)
+            masks.append(render(chosen, family, fp, guard_modulus=30.0, guard_exit_limit=2).codes < 0)
             totals[name] = totals.get(name, 0) + steps[-1]
         monkeypatch.setattr(dynamics, "eval_family_array", real)
         assert np.array_equal(masks[0], masks[1])
@@ -667,7 +670,7 @@ def test_basin_disk_cuts_the_sweep_point_steps(monkeypatch):
 
 
 @pytest.mark.parametrize("lam, iterations", [(0.75, 12), (1.0, 16)])
-def test_basin_disks_only_turn_undetermined_into_attracted(lam, iterations):
+def test_basin_disk_only_turns_undetermined_into_attracted(lam, iterations):
     # a small budget runs out on orbits the disk already proves convergent
     plain, trapped = _render_with_and_without_basin(
         lam, GridSpec(resolution=64, max_iterations=iterations), 30.0, 2)
