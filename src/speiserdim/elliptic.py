@@ -44,8 +44,9 @@ _CELL_RADIUS = PI / math.sqrt(2.0)
 
 _INF = complex(math.inf, 0.0)
 
-# lattice rows per block of wp_direct_sum
+# lattice rows per block of wp_direct_sum, and the largest radius it sums to (about 8e6 orbit representatives)
 _DIRECT_SUM_ROWS = 64
+_DIRECT_SUM_MAX_RADIUS = 1e4
 
 
 class SpeiserdimError(Exception):
@@ -68,21 +69,8 @@ def eisenstein_g4() -> float:
     return total / PI ** 4
 
 
-@lru_cache(maxsize=1)
-def _eisenstein_g8() -> float:
-    """Weight-8 lattice sum G8 = 3 G4^2 / 7 (as g3 = 0) from closed-form rows, as in
-    `eisenstein_g4`: sum_j (j + i*n)^-8 = pi^8 (1 + 4/3 sh^2 + 2/5 sh^4 + 4/315 sh^6) / sh^8,
-    sh = sinh(pi n), and 2 zeta(8) = 2 pi^8 / 9450.  Only the direct sum needs it."""
-    total = 2.0 / 9450.0
-    for n in range(1, 12):
-        sh = math.sinh(PI * n)
-        s2 = sh * sh
-        total += 2.0 * (1.0 + s2 * (4.0 / 3.0 + s2 * (0.4 + s2 * (4.0 / 315.0)))) / (s2 * s2 * s2 * s2)
-    return total
-
-
 def direct_sum_radius(z_modulus: float, tol: float) -> float:
-    """Smallest summation radius whose certified tail bound is below tol.
+    """Summation radius whose certified tail bound is below tol, within 7% of the smallest.
 
     The direct sum subtracts the degree <= 7 Taylor terms of every summand
     (they cancel exactly over a disk-symmetric truncation, except for the
@@ -90,50 +78,29 @@ def direct_sum_radius(z_modulus: float, tol: float) -> float:
     bounded by C(y0) |z|^8 / |w|^10 with y0 = |z|/R and
     C(y0) = 9/(1-y0) + y0/(1-y0)^2.  Cell-to-integral comparison then bounds
     the lattice tail of |w|^-10 by (2/pi) * (1/(8 S^8) + (pi/sqrt 2)/(9 S^9))
-    with S = R - pi/sqrt(2).  The bound falls as R grows: R is the floor
-    max(12, 4|z|) if it passes, else the passing end of a bracket narrowed to
-    1e-9 R.  Past the floor C(y0) is in [9, 12.45] and S >= 9.78, so the S at
-    which 9v/S^8 and 14.96v/S^8 (v = |z|^8 / (4 pi)) reach tol bracket R.  The
-    bound is nearly a line in (log S, log bound): secant steps there, kept
-    4e-10 R inside the bracket, need at most 8 bound evaluations in all.
+    with S = R - pi/sqrt(2).  On R >= max(12, 4|z|), C(y0) is in [9, 12.45] and
+    S >= 9.78, so the bound lies in [9, 14.96] * v tol / S^8, v = |z|^8 / (4 pi tol):
+    R is the floor or the passing S = (14.96 v)^(1/8), whichever is larger, so within
+    (14.96/9)^(1/8) = 1.066 of the smallest; past _DIRECT_SUM_MAX_RADIUS it is refused.
     """
     if not (tol > 0 and math.isfinite(z_modulus)):
         raise ValueError(f"the direct sum needs a positive tol and a finite |z|, not {tol!r} and {z_modulus!r}")
-
-    def bound(R: float) -> float:
-        y0, S = z_modulus / R, R - _CELL_RADIUS
-        lattice_tail = (2.0 / PI) * (1.0 / (8.0 * S ** 8) + _CELL_RADIUS / (9.0 * S ** 9))
-        return (9.0 / (1.0 - y0) + y0 / (1.0 - y0) ** 2) * z_modulus ** 8 * lattice_tail
-
-    lo = max(12.0, 4.0 * z_modulus)
-    if (b_lo := bound(lo)) < tol:
-        return lo
-    v = z_modulus ** 8 / (4.0 * PI * tol)
-    if (r := _CELL_RADIUS + (9.0 * v) ** 0.125) > lo:
-        lo, b_lo = r, bound(r)
-    hi = _CELL_RADIUS + (14.96 * v) ** 0.125
-    b_hi = bound(hi)
-    while hi - lo > 1e-9 * hi:
-        t_lo, t_hi = math.log(lo - _CELL_RADIUS), math.log(hi - _CELL_RADIUS)
-        f_lo, f_hi = math.log(b_lo / tol), math.log(b_hi / tol)
-        R = _CELL_RADIUS + math.exp(t_hi - f_hi * (t_hi - t_lo) / (f_hi - f_lo))
-        R = min(max(R, lo + 4e-10 * hi), hi - 4e-10 * hi)
-        if (b := bound(R)) < tol:
-            hi, b_hi = R, b
-        else:
-            lo, b_lo = R, b
-    return hi
+    v = min(z_modulus, _DIRECT_SUM_MAX_RADIUS) ** 8 / (4.0 * PI * tol)  # no overflow: past the cap, 4|z| refuses
+    R = max(12.0, 4.0 * z_modulus, _CELL_RADIUS + (14.96 * v) ** 0.125)
+    if R > _DIRECT_SUM_MAX_RADIUS:
+        raise ValueError(f"the direct sum would need R = {R:.4g}, past its cap of {_DIRECT_SUM_MAX_RADIUS:g}")
+    return R
 
 
 def wp_direct_sum(z, tol: float = 1e-9) -> complex | list[complex]:
     """Evaluate wp by direct truncated lattice summation with tail bound < tol.
 
-    The lattice points with 0 < |w| <= R enter
+    The lattice points with 0 < |w| <= R (`direct_sum_radius`) enter
         1/z^2 + sum' [ 1/(z-w)^2 - sum_{n=0..7} (n+1) z^n / w^(n+2) ] + 3*G4*z^2 + 7*G8*z^6:
-    over all of L the subtracted terms sum to the restored ones, as G_k = 0
-    for odd k and, since i*L = L, for k = 6 (DLMF 23.9), so only the tail of
-    the bracket is cut, and it falls like R^-8.  The four summands of each
-    orbit {w, i*w, -w, -i*w} add up to
+    over all of L the subtracted terms sum to the restored ones, as G_k = 0 for odd k
+    and, since i*L = L, for k = 6 (DLMF 23.9, which with g3 = 0 gives G8 = 3 G4^2 / 7),
+    so only the tail of the bracket is cut, and it falls like R^-8.  The four
+    summands of each orbit {w, i*w, -w, -i*w} add up to
         4 z^10 (11 w^4 - 7 z^4) / (w^8 (w^4 - z^4)^2),
     so one representative w = pi*(j + i*k), j >= 1, k >= 0, stands for its
     orbit; the disk is invariant under the quarter turn, so the same points
@@ -163,8 +130,10 @@ def wp_direct_sum(z, tol: float = 1e-9) -> complex | list[complex]:
                 den = np.multiply(np.square(w4), np.square(np.subtract(w4, z4)))
                 sums[i] += complex(np.sum(np.divide(np.subtract(np.multiply(11.0, w4), 7.0 * z4), den)))
                 del w4, den  # before the next point's arrays
-    out = [1.0 / (v * v) + 4.0 * z4 * z4 * v * v * s + 3.0 * eisenstein_g4() * v * v
-           + 7.0 * _eisenstein_g8() * z4 * v * v if n else _INF for v, n, z4, s in zip(zs, rows, z4s, sums)]
+    G4 = eisenstein_g4()
+    G8 = 3.0 * G4 * G4 / 7.0  # this order gives G8's row-sum bits; 3 * G4 ** 2 / 7 is 1 ulp off
+    out = [1.0 / (v * v) + 4.0 * z4 * z4 * v * v * s + 3.0 * G4 * v * v
+           + 7.0 * G8 * z4 * v * v if n else _INF for v, n, z4, s in zip(zs, rows, z4s, sums)]
     return out if np.ndim(z) else out[0]
 
 

@@ -24,7 +24,7 @@ from speiserdim import (
     wp_prime,
 )
 from speiserdim import elliptic
-from speiserdim.elliptic import POLE_CUTOFF, _eisenstein_g8, _wp_array, direct_sum_radius
+from speiserdim.elliptic import POLE_CUTOFF, _wp_array, direct_sum_radius
 
 
 def brute_weight4_sum(k):
@@ -57,10 +57,32 @@ def test_weight4_sum_against_brute_double_sum():
     assert eisenstein_g4() == pytest.approx(extrapolated, abs=1e-10)
 
 
-def test_weight8_sum_from_its_rows_is_three_sevenths_of_g4_squared():
-    # g3 = 0 makes the Laurent recursion give G8 = 3 G4^2 / 7 (DLMF 23.9)
+def _g8():
+    """G8 = 3 G4^2 / 7, as g3 = 0 (DLMF 23.9), in the order `wp_direct_sum` uses."""
     g4 = eisenstein_g4()
-    assert abs(_eisenstein_g8() - 3.0 * g4 * g4 / 7.0) <= 4 * math.ulp(_eisenstein_g8())
+    return 3.0 * g4 * g4 / 7.0
+
+
+def test_direct_sum_restores_the_row_sum_bits_of_g8(monkeypatch):
+    # the weight-8 sum from its closed-form rows, sum_j (j + i*n)^-8 =
+    # pi^8 (1 + 4/3 sh^2 + 2/5 sh^4 + 4/315 sh^6) / sh^8 with sh = sinh(pi n),
+    # and 2 zeta(8) = 2 pi^8 / 9450 for the real row
+    rows = 2.0 / 9450.0
+    for n in range(1, 12):
+        s2 = math.sinh(PI * n) ** 2
+        rows += 2.0 * (1.0 + s2 * (4.0 / 3.0 + s2 * (0.4 + s2 * (4.0 / 315.0)))) / (s2 * s2 * s2 * s2)
+    g8 = float.fromhex("0x1.d64e05e271142p-12")
+    assert rows == g8 == _g8()
+    # with no lattice point inside R the oracle is its restored terms alone,
+    # so its bits pin the G8 it uses; a G8 one ulp off would move them
+    monkeypatch.setattr(elliptic, "direct_sum_radius", lambda z_modulus, tol: 1.0)
+    g4, zs = eisenstein_g4(), (0.3 + 0.2j, PI / 2, 1.2 - 0.9j, 3 + 4j, -7.5 + 0.4j)
+
+    def restored(z, g8):
+        return 1.0 / (z * z) + 3.0 * g4 * z * z + 7.0 * g8 * (z * z) ** 2 * z * z
+
+    assert [wp_direct_sum(z) for z in zs] == [restored(z, g8) for z in zs]
+    assert [wp_direct_sum(z) for z in zs] != [restored(z, math.nextafter(g8, 1.0)) for z in zs]
 
 
 def test_half_period_values():
@@ -90,7 +112,7 @@ def test_e1_is_the_correctly_rounded_lemniscatic_constant():
 
 
 def test_lattice_init_does_not_sum_the_lattice():
-    # the direct sum is an oracle only: start-up must not pay for it, nor for its G8
+    # the direct sum is an oracle only: start-up must not pay for it
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     probe = (
@@ -99,12 +121,11 @@ def test_lattice_init_does_not_sum_the_lattice():
         "    raise RuntimeError('direct lattice sum called')\n"
         "e.wp_direct_sum = boom\n"
         "print(repr(e.square_lattice().e1))\n"
-        "print(e._eisenstein_g8.cache_info().misses)\n"
     )
     run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, timeout=60)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["0.6966019648428384", "0"]
+    assert run.stdout.split() == ["0.6966019648428384"]
 
 
 def test_matches_direct_lattice_sum():
@@ -149,7 +170,7 @@ def test_folded_direct_sum_matches_the_unfolded_sum(monkeypatch, z):
     w = PI * (j + 1j * k)
     w = w[w != 0]
     terms = 1.0 / (z - w) ** 2 - sum((n + 1) * z ** n / w ** (n + 2) for n in range(8))
-    restored = 3.0 * eisenstein_g4() * z * z + 7.0 * _eisenstein_g8() * z ** 6
+    restored = 3.0 * eisenstein_g4() * z * z + 7.0 * _g8() * z ** 6
     plain = 1.0 / (z * z) + terms.sum() + restored
     scale = abs(1.0 / (z * z)) + np.abs(terms).sum() + abs(restored)
     assert abs(wp_direct_sum(z) - plain) <= 4 * w.size * np.finfo(float).eps * scale
@@ -179,7 +200,7 @@ def _direct_sum_point_by_point(z, tol):
         den = np.multiply(np.square(w4), np.square(np.subtract(w4, z4)))
         s += complex(np.sum(np.divide(np.subtract(np.multiply(11.0, w4), 7.0 * z4), den)))
     return (1.0 / (z * z) + 4.0 * z4 * z4 * z * z * s + 3.0 * eisenstein_g4() * z * z
-            + 7.0 * _eisenstein_g8() * z4 * z * z)
+            + 7.0 * _g8() * z4 * z * z)
 
 
 def _degree3_direct_sum(z, tol):
@@ -228,7 +249,7 @@ def _peak_bytes(call):
 
 
 def test_direct_sum_batch_needs_no_more_memory_than_its_largest_point():
-    # at tol 1e-15 the largest point's arrays (R = 593) outweigh the batch's
+    # at tol 1e-15 the largest point's arrays (R = 630) outweigh the batch's
     # per-point bookkeeping, about 150 bytes a point
     largest = max(_MIXED_BATCH[:8], key=lambda z: direct_sum_radius(abs(z), 0.5e-15))
     wp_direct_sum(_MIXED_BATCH, 1e-15)  # caches filled before measuring
@@ -237,15 +258,15 @@ def test_direct_sum_batch_needs_no_more_memory_than_its_largest_point():
 
 
 def test_direct_sum_memory_stays_bounded():
-    # the quadrant is summed in blocks of rows, so a call at R = 1,646 (about
-    # 215,000 orbit representatives in 9 blocks) never holds the whole disk at once
-    assert 1600 < direct_sum_radius(PI / 2, 0.5e-24) < 1700
+    # the quadrant is summed in blocks of rows, so a call at R = 1,753 (about
+    # 245,000 orbit representatives in 9 blocks) never holds the whole disk at once
+    assert 1700 < direct_sum_radius(PI / 2, 0.5e-24) < 1800
     assert _peak_bytes(lambda: wp_direct_sum(PI / 2, 1e-24)) < 5e6
 
 
 def test_tightest_oracle_call_sums_a_small_disk():
     # with the degree <= 7 terms subtracted the tail falls like R^-8: the e1
-    # check's call sums to R = 55, where the degree-3 form needed R = 1,767
+    # check's call sums to R = 58, where the degree-3 form needed R = 1,767
     assert direct_sum_radius(PI / 2, 0.5e-12) < 60
     wp_direct_sum(PI / 2, 1e-12)  # caches filled before measuring
     assert _peak_bytes(lambda: wp_direct_sum(PI / 2, 1e-12)) < 100e3
@@ -258,7 +279,7 @@ def test_direct_sum_agrees_with_the_degree3_sum():
     zs = random_cell_points(20, seed=28) + _MIXED_BATCH[:8] + _MIXED_BATCH[12:]  # the finite points
     for z, new in zip(zs, wp_direct_sum(zs, 1e-13)):
         old = _degree3_direct_sum(z, 1e-13)
-        assert abs(new - old) <= 2e-14 * max(1.0, abs(old), 7.0 * _eisenstein_g8() * abs(z) ** 6), z
+        assert abs(new - old) <= 2e-14 * max(1.0, abs(old), 7.0 * _g8() * abs(z) ** 6), z
 
 
 def test_differential_equation():
@@ -397,7 +418,7 @@ def test_direct_sum_radius_grows_with_tightness():
     assert direct_sum_radius(10.0, 1e-9) > direct_sum_radius(1.0, 1e-9)
 
 
-def test_direct_sum_radius_is_minimal():
+def test_direct_sum_radius_is_the_passing_bracket_end():
     # the tail bound of direct_sum_radius's docstring, recomputed here
     def bound(z_modulus, R):
         y0 = z_modulus / R
@@ -410,22 +431,37 @@ def test_direct_sum_radius_is_minimal():
         for tol in (1e-6, 1e-9, 1e-12):
             R = direct_sum_radius(z_modulus, tol)
             assert bound(z_modulus, R) < tol
-            if R == max(12.0, 4.0 * z_modulus):
+            lo = max(12.0, 4.0 * z_modulus)
+            if R == lo:
                 on_floor += 1
-            else:
-                assert not bound(z_modulus, R * (1 - 1e-6)) < tol, (z_modulus, tol, R)
+            hi = lo if bound(z_modulus, lo) < tol else R
+            while hi - lo > 1e-12 * hi:  # the bound falls as R grows: bisect to the smallest passing R
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if bound(z_modulus, mid) < tol else (mid, hi)
+            assert R <= 1.0656 * hi, (z_modulus, tol, R, hi)
     assert 0 < on_floor < 243
 
 
 def test_direct_sum_rejects_non_finite_input():
-    # the radius loop ends only for a finite |z| and a tol that compares: at
-    # |z| = inf it never returns, and a NaN tol grows R until S ** 5 overflows
+    # no radius passes the tail bound at |z| = inf, and a NaN tol compares
+    # false with every bound, so both are refused before any radius is formed
     for z_modulus, tol in ((math.inf, 1e-9), (math.nan, 1e-9), (1.0, math.nan), (1.0, 0.0), (1.0, -1e-9)):
         with pytest.raises(ValueError, match="positive tol and a finite"):
             direct_sum_radius(z_modulus, tol)
     for z, tol in ((0.5, math.nan), (complex(math.inf, 0.0), 1e-9), (complex(0.5, math.nan), 1e-9)):
         with pytest.raises(ValueError, match="positive tol and a finite"):
             wp_direct_sum(z, tol)
+
+
+def test_direct_sum_refuses_radii_past_its_cap_at_once():
+    # |z| = 1e39 would overflow |z|^8, and |z| = 1e5 asks for R = 1.41e6, a
+    # quadrant of about 1.6e11 lattice points that would never finish; a batch
+    # is refused before any block is summed
+    start = time.monotonic()
+    for z in (1e39, 1e5, [0.5, 1e5]):
+        with pytest.raises(ValueError, match="past its cap of 10000"):
+            wp_direct_sum(z)
+    assert time.monotonic() - start < 1.0
 
 
 @settings(max_examples=200, deadline=None)
