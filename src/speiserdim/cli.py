@@ -298,14 +298,14 @@ def cmd_sweep(cfg: ExperimentConfig, out: str) -> int:
             family = MapFamily(tag="FLambda", lam=lam, m=cfg.m, p=cfg.p, eta=cfg.eta)
             # box counting reads attracted or not, so orbits stop in the certified basin disk
             basin = basin_majorant(family, fp, cfg.guard_modulus)
-            raster = render(
+            # the raster is dropped once counted, so the next render runs with none alive
+            est = box_counting(render(
                 replace(grid, attraction_tol=max(grid.attraction_tol, basin[0])) if basin else grid,
                 family,
                 fp,
                 guard_modulus=cfg.guard_modulus,
                 guard_exit_limit=cfg.guard_exits,
-            )
-            est = box_counting(raster, scales)
+            ), scales)
             if prev is None:
                 K = math.nan
                 hol = (math.nan, math.nan)

@@ -155,7 +155,8 @@ def find_attracting_fixed_point(lam: float, m: int, p: int, eta: float) -> Fixed
 
 
 def _iterate_block(
-    points: np.ndarray,
+    xs: np.ndarray,
+    ys: np.ndarray,
     family: MapFamily,
     fp: FixedPointData | None,
     max_iterations: int,
@@ -164,34 +165,30 @@ def _iterate_block(
     guard_exit_limit: int,
     cycle_periods: int,
 ) -> np.ndarray:
-    """Classify a flat array of starting points; returns int32 codes.  With fp,
-    an orbit is attracted once |v - fp| < tol.
+    """Classify the starts xs[j] + 1j * ys[i]; returns int32 codes of shape
+    (ys.size, xs.size).  With fp, an orbit is attracted once |v - fp| < tol.
 
     At most `_BLOCK_POINTS` orbits live at once, one per slot: after each step
-    the finished orbits leave and a cursor over the unstarted points refills
-    the free slots.  A slot holds an orbit's value, point index, own step and
+    the finished orbits' slots take the next starts in row-major order, built
+    from the axes as they are taken, and once no start waits the finished
+    orbits leave.  A slot holds an orbit's value, start index, own step and
     guard counts and, in cycle mode, its last cycle_periods values (newest
     first, inf until reached) and its count of revisiting steps in a row.
     Classification starts at step 1, so no code is 0: `render` applies the
     step-0 test |z0 - fp| < tol.
     """
-    def fresh(z0, idx):  # concatenate copies, so the zeros are not shared
-        zeros = np.zeros(z0.size, dtype=np.int32)
-        cycle = [np.full((z0.size, cycle_periods), np.inf + 0j), zeros] if fp is None else []
-        return [z0, idx, zeros, zeros, *cycle]
+    def starts(lo, hi):  # row-major starts lo..hi-1, cut from the grid rows that hold them
+        first, last = lo // xs.size, (hi - 1) // xs.size
+        rows = xs + 1j * ys[first:last + 1, None]  # the grid expression render used, so the bits are the same
+        return rows.ravel()[lo - first * xs.size:hi - first * xs.size]
 
-    points = np.asarray(points, dtype=complex).ravel()
-    codes = np.full(points.size, CODE_UNDETERMINED, dtype=np.int32)
-    slots, cursor = fresh(points[:0], np.arange(0)), 0
-    while True:
-        if cursor < points.size and slots[0].size < _BLOCK_POINTS:
-            z0 = points[cursor:cursor + _BLOCK_POINTS - slots[0].size]
-            idx = np.arange(cursor, cursor + z0.size)
-            cursor += z0.size
-            slots = [np.concatenate(pair) for pair in zip(slots, fresh(z0, idx))]
-        if slots[0].size == 0:
-            return codes
-        z, idx, steps, guards, *cycle = slots
+    n = xs.size * ys.size
+    codes = np.full(n, CODE_UNDETERMINED, dtype=np.int32)
+    cursor = min(_BLOCK_POINTS, n)
+    idx = np.arange(cursor)
+    z, steps, guards = starts(0, cursor), np.zeros(cursor, dtype=np.int32), np.zeros(cursor, dtype=np.int32)
+    cycle = [np.full((cursor, cycle_periods), np.inf + 0j), np.zeros(cursor, dtype=np.int32)] if fp is None else []
+    while z.size:
         v, pole = eval_family_array(family, z)
         steps += 1
         mod = np.abs(v)
@@ -207,8 +204,19 @@ def _iterate_block(
         julia = pole | big & (guards >= guard_exit_limit)
         codes[idx[julia]] = CODE_JULIA
         codes[idx[att]] = steps[att]  # att excludes poles and outranks a guard exit
-        keep = ~(julia | att | (steps >= max_iterations))
-        slots = [a[keep] for a in (v, idx, steps, guards, *cycle)]
+        done = julia | att | (steps >= max_iterations)
+        retired = np.flatnonzero(done)
+        free = retired[:n - cursor]  # refilled in place with fresh orbits
+        if free.size:
+            idx[free], v[free] = np.arange(cursor, cursor + free.size), starts(cursor, cursor + free.size)
+            steps[free], guards[free], done[free] = 0, 0, False
+            cursor += free.size
+            for state, fresh in zip(cycle, (np.inf, 0)):
+                state[free] = fresh
+        if retired.size > free.size:
+            v, idx, steps, guards, *cycle = (a[~done] for a in (v, idx, steps, guards, *cycle))
+        z = v
+    return codes.reshape(ys.size, xs.size)
 
 
 @dataclass(frozen=True)
@@ -246,10 +254,10 @@ class RasterResult:
 
 
 # Orbit slots of _iterate_block, which bound the orbit state held at once.
-# 8,192 and 16,384 slots raised the default sweep's peak RSS by 0.7 and 1.9 MB
-# over 40.0 MB for a few percent of speed; the evaluator takes 68 ns a point at
-# 4,096 points, 94 at 16,384.  The kernel rounds alike at every array size, so
-# codes do not depend on the count.
+# 8,192 and 16,384 slots raised the default sweep's peak RSS by 1.1 and 3.4 MB
+# over 32.5 MB, with no speed-up above the noise of a shared 2-vCPU host; there
+# the evaluator took 113 ns a point at 4,096 points and 151 at 16,384.  The
+# kernel rounds alike at every array size, so codes do not depend on the count.
 _BLOCK_POINTS = 4096
 
 def _mirrors(grid: GridSpec, family: MapFamily, fp: FixedPointData | None) -> tuple[bool, bool]:
@@ -313,13 +321,14 @@ def render(
     tol = grid.attraction_tol
 
     codes = np.empty((n, n), dtype=np.int32)
-    codes[:rows, :cols] = _iterate_block(xs[None, :cols] + 1j * ys[:rows, None], family, fp, grid.max_iterations, tol,
-                                         guard_modulus, guard_exit_limit, cycle_periods).reshape(rows, cols)
+    codes[:rows, :cols] = _iterate_block(xs[:cols], ys[:rows], family, fp, grid.max_iterations, tol,
+                                         guard_modulus, guard_exit_limit, cycle_periods)
     codes[:rows, cols:] = codes[:rows, :n - cols][:, ::-1]
     codes[rows:] = codes[:n - rows][::-1]
-    if fp is not None:
-        band = np.abs(ys) < tol
-        codes[band] = np.where(np.hypot(xs[None, :] - fp.location, ys[band, None]) < tol, 0, codes[band])
+    if fp is not None:  # hypot(a, b) >= |a|, so only the disk's bounding box can pass
+        r, c = np.flatnonzero(np.abs(ys) < tol), np.flatnonzero(np.abs(xs - fp.location) < tol)
+        box = np.ix_(r, c)
+        codes[box] = np.where(np.hypot(xs[c] - fp.location, ys[r, None]) < tol, 0, codes[box])
     return RasterResult(grid=grid, family=family, codes=codes)
 
 
@@ -379,8 +388,8 @@ def basin_majorant(family: MapFamily, fp: FixedPointData, guard_modulus: float):
     a = reach if family.tag == "H" else family.m * np.arcsin(np.minimum(_arcsin_scale(family) * reach / family.m, 1.0))
     r1, delta = r1[a < PI / 2], PI / 2 - a[a < PI / 2]
     m2 = family.eta * ((delta ** -2.0 + 4.6 * 26.0 / (9.0 * PI ** 2)) / square_lattice().e1) ** (2 * family.p) + zeta
-    w = np.exp(2j * PI / n * (np.outer(np.arange(n), k) % n))  # w[j, k] = e^(2 pi i j k / N); w[:, 1] the circle
-    v, _ = eval_family_array(family, fp.location + r1[:, None] * w[:, 1])
+    w = np.exp(2j * PI / n * np.arange(n))[np.outer(np.arange(n), k) % n]  # w[j, k] = e^(2 pi i jk / N)
+    v, _ = eval_family_array(family, fp.location + r1[:, None] * w[:, 1])  # the circles
     pad = (_EVAL_ERROR + n * eps) * (np.max(np.abs(v), axis=1) + zeta) + 48.0 * eps * m2 * (zeta + r1) / r1
     c = np.einsum("jk,kl->jl", v - fp.location, np.conj(w)) / n  # the DFT; einsum, as @ would touch BLAS buffers
     # S(R1 x) = sum_k b_k x^k + tail, b_k = |c_k| + pad + the aliases' M2 q^k q^N / (1 - q^N), q = 3/4

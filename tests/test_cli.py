@@ -5,6 +5,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -510,6 +511,20 @@ def test_cli_sweep_row_after_a_zero_dimension_fails_in_place(tmp_path, monkeypat
     first, second = (l.split(",") for l in body[1:])
     assert (first[3], first[12]) == ("0", "ok")
     assert second[12] == "failed: dim_lambda must lie in (0; 2]"
+
+
+def test_cli_sweep_holds_one_raster(tmp_path):
+    # a 512^2 raster is 1 MB of int32 codes: the sweep holds neither the last
+    # lambda's raster during the next render nor a grid of complex starts (1 MB)
+    cfg = write_config(tmp_path, "lambda_count = 2\n")
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "sweep.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
 
 
 def test_cli_sweep_without_basin_disk_writes_the_same_csv(tmp_path, monkeypatch):

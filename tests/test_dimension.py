@@ -471,6 +471,34 @@ def test_box_counts_from_coarser_scales_equal_counts_from_the_mask(scales):
     assert box_counting(mask, scales).metadata["counts"] == expected
 
 
+def _reshape_any_counts(mask, scales):
+    """box_counting's counts as they were taken before its 4-pixel shortcut: every level a reshape-any."""
+    rows, cols = np.flatnonzero(mask.any(axis=1)), np.flatnonzero(mask.any(axis=0))
+    boxes, counts = {1: mask[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]}, []
+    for s in sorted(scales):
+        t = max(d for d in boxes if s % d == 0)
+        f, (h, w) = s // t, boxes[t].shape
+        padded = np.zeros((-(-h // f) * f, -(-w // f) * f), dtype=bool)
+        padded[:h, :w] = boxes[t]
+        boxes[s] = padded.reshape(padded.shape[0] // f, f, padded.shape[1] // f, f).any(axis=(1, 3))
+        counts.append(int(np.count_nonzero(boxes[s])))
+    return counts
+
+
+@pytest.mark.parametrize("scales", [[4, 8, 16, 32, 64, 128], [3, 6, 12, 24], [5, 10, 20, 40], [2, 8, 32, 128]])
+def test_four_pixel_boxes_count_as_a_reshape_any(scales):
+    # cropped sides that are not multiples of 4, a single pixel, a full mask,
+    # and 4-pixel factors from the mask and from coarser levels
+    rng = np.random.default_rng(32)
+    single = np.zeros((301, 258), dtype=bool)
+    single[150, 77] = True
+    line = np.zeros((130, 130), dtype=bool)
+    line[np.arange(3, 126), np.arange(3, 126) // 2 + 1] = True
+    masks = [rng.random((301, 258)) < 0.01, rng.random((513, 262)) < 0.3, single, line, np.ones((203, 130), dtype=bool)]
+    for mask in masks:
+        assert box_counting(mask, scales).metadata["counts"] == _reshape_any_counts(mask, scales)
+
+
 def test_box_counting_translation_invariant():
     rng = np.random.default_rng(3)
     blob = rng.random((64, 64)) < 0.2

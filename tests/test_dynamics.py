@@ -47,11 +47,12 @@ def centers(grid):
 
 def classify_point(z, tol=1e-6):
     """Code of one starting point: render's step-0 rule, then the block iterator it uses."""
-    if np.abs(complex(z) - FP.location) < tol:
+    z = complex(z)
+    if np.abs(z - FP.location) < tol:
         return 0
-    codes = _iterate_block(np.asarray([complex(z)]), FAM, FP, 500, tol,
+    codes = _iterate_block(np.array([z.real]), np.array([z.imag]), FAM, FP, 500, tol,
                            DEFAULT_GUARD_MODULUS, DEFAULT_GUARD_EXITS, 3)
-    return int(codes[0])
+    return int(codes[0, 0])
 
 
 def test_fixed_point_location_and_residual():
@@ -97,9 +98,9 @@ def test_classify_fixed_point_is_step_zero():
 
 def test_block_iterator_codes_a_start_at_the_fixed_point_as_one():
     # the step-0 test is render's: the iterator classifies from step 1 on
-    codes = _iterate_block(np.array([complex(FP.location)]), FAM, FP, 500, 1e-6,
+    codes = _iterate_block(np.array([FP.location]), np.zeros(1), FAM, FP, 500, 1e-6,
                            DEFAULT_GUARD_MODULUS, DEFAULT_GUARD_EXITS, 3)
-    assert codes[0] == 1
+    assert codes[0, 0] == 1
 
 
 def test_classify_real_points_attract():
@@ -203,12 +204,10 @@ def test_pixel_centers_mirror_exactly_on_centred_axes(n):
 
 def _full_grid_codes(grid, family, fp, guard, cycle_periods=3):
     """Every pixel iterated, in one call, at the same centres as render, then step 0 tested."""
-    pts = centers(grid)
-    codes = _iterate_block(pts, family, fp, grid.max_iterations,
+    codes = _iterate_block(*grid.axes(), family, fp, grid.max_iterations,
                            grid.attraction_tol, guard[0], guard[1], cycle_periods)
-    codes = codes.reshape(grid.resolution, grid.resolution)
     if fp is not None:
-        codes[np.abs(pts - fp.location) < grid.attraction_tol] = 0
+        codes[np.abs(centers(grid) - fp.location) < grid.attraction_tol] = 0
     return codes
 
 
@@ -242,6 +241,37 @@ def test_symmetric_render_rechecks_step_zero_of_column_mirrors(threads):
     assert np.array_equal(codes, _full_grid_codes(grid, FAM, FP, guard))
 
 
+def _full_band_codes(grid, family, fp, guard):
+    """Every pixel iterated, then the step-0 test over every row within tol of the axis, as render took it before."""
+    xs, ys = grid.axes()
+    tol = grid.attraction_tol
+    codes = _iterate_block(xs, ys, family, fp, grid.max_iterations, tol, guard[0], guard[1], 3)
+    band = np.abs(ys) < tol
+    codes[band] = np.where(np.hypot(xs[None, :] - fp.location, ys[band, None]) < tol, 0, codes[band])
+    return codes
+
+
+_EDGE = GridSpec(center=0.7 + 0j, half_width=0.5, resolution=16, max_iterations=40, attraction_tol=0.3)
+
+
+# the step-0 test runs over the disk's bounding box only: tol > half_width,
+# fp on the grid's last column, past it and below 0, and an off-centre grid
+@pytest.mark.parametrize("grid, fp", [
+    (GridSpec(center=0j, half_width=0.5, resolution=15, max_iterations=40, attraction_tol=0.8), FP),
+    (_EDGE, replace(FP, location=float(_EDGE.axes()[0][-1]))),
+    (_EDGE, replace(FP, location=float(_EDGE.axes()[0][-1]) + 0.2)),
+    (GridSpec(center=0j, half_width=2.0, resolution=16, max_iterations=40, attraction_tol=0.5),
+     replace(FP, location=-0.4)),
+    (GridSpec(center=0.3 + 0.25j, half_width=1.0, resolution=15, max_iterations=40, attraction_tol=0.5), FP),
+], ids=["tol-over-half-width", "fp-on-edge", "fp-past-edge", "fp-below-0", "off-centre"])
+def test_render_step_zero_box_equals_the_full_row_band(grid, fp):
+    guard = (30.0, 2)
+    expected = _full_band_codes(grid, FAM, fp, guard)
+    assert (expected == 0).any()
+    raster = render(grid, FAM, fp, guard_modulus=guard[0], guard_exit_limit=guard[1])
+    assert np.array_equal(raster.codes, expected)
+
+
 def test_render_starts_no_thread(monkeypatch):
     def refuse(self):
         raise AssertionError("render started a thread")
@@ -262,14 +292,17 @@ def test_symmetric_render_over_several_blocks(threads):
 
 # fixed-point mode with tol 0.05, so that some pixels near fp get code 0
 # at step 0, FMax's cycle mode over column pairs with tol 0.5,
-# so that some of its orbits count as attracted, and a budget of 4 steps that
-# hundreds of orbits exhaust, most of them admitted late at small block sizes
+# so that some of its orbits count as attracted, cycle mode on FLambda, whose
+# orbits mostly settle on fp, so that a refilled slot's stale history would
+# count a revisit at once, and a budget of 4 steps that hundreds of orbits
+# exhaust, most of them admitted late at small block sizes
 @pytest.mark.parametrize("family, fp, grid, guard", [
     (FAM, FP, GridSpec(resolution=160, max_iterations=60, attraction_tol=0.05), (30.0, 2)),
     (MapFamily(tag="FMax"), None, GridSpec(resolution=48, max_iterations=120, attraction_tol=0.5),
      (DEFAULT_GUARD_MODULUS, DEFAULT_GUARD_EXITS)),
+    (FAM, None, GridSpec(resolution=32, max_iterations=60, attraction_tol=0.05), (30.0, 2)),
     (FAM, FP, GridSpec(resolution=64, max_iterations=4, attraction_tol=0.05), (30.0, 2)),
-], ids=["fixed-point", "cycle", "budget"])
+], ids=["fixed-point", "cycle", "cycle-settling", "budget"])
 def test_render_codes_do_not_depend_on_the_block_size(monkeypatch, family, fp, grid, guard):
     if fp is not None:
         assert (np.abs(centers(grid) - fp.location) < grid.attraction_tol).any()
@@ -301,9 +334,9 @@ def test_render_refills_its_orbit_slots(monkeypatch):
     # wait, and at most one per step of its longest orbit after that
     passes = []
 
-    def pass_spy(points, *args):
+    def pass_spy(xs, ys, *args):
         passes.append([])
-        return _iterate_block(points, *args)
+        return _iterate_block(xs, ys, *args)
 
     def eval_spy(family, z):
         passes[-1].append(z.size)
@@ -332,16 +365,16 @@ def test_guard_exits_count_past_the_int16_range():
     # every step is a guard exit, so the orbit is Julia at step 33,000; an int16
     # count wraps at 32,767 and never gets there
     fp = FixedPointData(location=100.0, multiplier=0.0, lam=0.75)
-    codes = _iterate_block(np.array([0.5j]), MapFamily(tag="FLambda", lam=0.75), fp, 33000, 1e-300,
+    codes = _iterate_block(np.zeros(1), np.array([0.5]), MapFamily(tag="FLambda", lam=0.75), fp, 33000, 1e-300,
                            0.0, 33000, 3)
-    assert codes[0] == CODE_JULIA
+    assert codes[0, 0] == CODE_JULIA
 
 
 def test_attraction_outranks_a_guard_exit_in_the_same_step():
     # |f(z0) - fp| is about 3.5e-5 < tol, and a guard below fp makes that step an exit too
-    z0 = np.array([FP.location + 1e-4])
-    assert _iterate_block(z0, FAM, FP, 50, 5e-5, FP.location / 2, 1, 3)[0] == 1
-    assert _iterate_block(z0, FAM, FP, 50, 5e-6, FP.location / 2, 1, 3)[0] == CODE_JULIA
+    xs, ys = np.array([FP.location + 1e-4]), np.zeros(1)
+    assert _iterate_block(xs, ys, FAM, FP, 50, 5e-5, FP.location / 2, 1, 3)[0, 0] == 1
+    assert _iterate_block(xs, ys, FAM, FP, 50, 5e-6, FP.location / 2, 1, 3)[0, 0] == CODE_JULIA
 
 
 def test_pgm_bytes_structure():
@@ -572,6 +605,13 @@ def test_majorant_bounds_the_map_on_the_outer_circle(p, eta, m, lams):
             v, pole = eval_family_array(family, fp.location + r2 * circle)
             assert not pole.any()
             assert np.max(np.abs(v - fp.location)) <= m2
+
+
+def test_basin_radius_bits_at_the_default_sweep_ends():
+    # the DFT matrix is indexed from one row of N roots of unity; r keeps its bits
+    for lam, r in ((0.75, 0.5907304583757997), (1.0, 0.3668016172818685)):
+        family = MapFamily(tag="FLambda", lam=lam, m=9, p=1, eta=0.3)
+        assert basin_majorant(family, find_attracting_fixed_point(lam, 9, 1, 0.3), 30.0)[0] == r
 
 
 def test_basin_disk_radius_follows_the_majorant_rule(monkeypatch):
